@@ -22,21 +22,23 @@
 //           [--store memory|file|segment] [--log-dir PATH] [--fsync]
 //   loadgen --host H --port P ...   # against an external wedgeblockd
 //
-// --store picks the spawned sharded server's shard store (default
-// memory, the historical behaviour). file/segment need a --log-dir
+// --store picks the spawned server's shard store (default memory, the
+// historical behaviour). file/segment need a --log-dir
 // (auto-created under /tmp when omitted); --fsync makes acks durable —
 // per-record fsync on file, group commit on segment — so closed-loop
 // runs across the three backends measure the real durability cost. The
 // JSONL row stamps `store` and payload `bytes_per_s` either way.
 //
 // With --spawn-server the server runs in-process on an ephemeral loopback
-// port (the ctest smoke run uses this); traffic still crosses real TCP.
+// port (the ctest smoke runs use this); traffic still crosses real TCP.
+// The spawned server is the sharded engine behind DispatchEngineRpc, as
+// in wedgeblockd: one shard in the paper's per-batch stage-2 mode for a
+// single tenant, --server-shards shards (forest stage 2 when more than
+// one) otherwise. Every op is tenant-scoped (a single tenant is tenant 0).
 //
 // Multi-tenant mode (--tenants > 1): every operation first samples a
-// tenant from a Zipf(S) distribution (--tenant-skew 0 = uniform), signs
-// with that tenant's own publisher keypair, and uses the tenant-scoped
-// RPCs against a sharded daemon (wedgeblockd --shards, or the in-process
-// sharded engine with --spawn-server). The JSONL row then carries
+// tenant from a Zipf(S) distribution (--tenant-skew 0 = uniform) and
+// signs with that tenant's own publisher keypair. The JSONL row then carries
 // per-tenant append p50/p99 and quota-rejection counts — a rejection is
 // a typed ResourceExhausted status from admission control, counted
 // separately from transport errors. --tenant-rate/--tenant-burst/
@@ -57,6 +59,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -219,11 +222,10 @@ Result<Options> Parse(int argc, char** argv) {
       opts.server_shards < 1 || opts.tenants > 4096) {
     return Status::InvalidArgument("bad flag value");
   }
-  if (opts.store != StoreBackend::kMemory &&
-      (!opts.spawn_server || opts.tenants < 2)) {
+  if (opts.store != StoreBackend::kMemory && !opts.spawn_server) {
     return Status::InvalidArgument(
-        "--store file|segment needs --spawn-server with --tenants >= 2 "
-        "(the sharded engine owns the durable stores)");
+        "--store file|segment configures the spawned server; add "
+        "--spawn-server");
   }
   return opts;
 }
@@ -285,27 +287,20 @@ Result<std::vector<FleetEndpoint>> ParseFleet(const std::string& spec) {
 
 /// Uniform client surface over the two transports loadgen can drive: a
 /// single pooled TcpNodeClient or a FleetRouter fanning out to one TCP
-/// endpoint per shard process (--fleet). The fleet path is always
-/// tenant-routed (that is what a fleet is); the direct path picks the
-/// tenant-scoped ops only in multi-tenant runs so the single-tenant
-/// smoke keeps exercising the original RPCs.
+/// endpoint per shard process (--fleet).
 struct ClientAdapter {
   TcpNodeClient* direct = nullptr;
   FleetRouter* fleet = nullptr;
 
   Result<std::vector<Stage1Response>> Append(
-      uint64_t tenant, bool tenant_ops,
-      const std::vector<AppendRequest>& batch) {
+      uint64_t tenant, const std::vector<AppendRequest>& batch) {
     if (fleet != nullptr) return fleet->Append(tenant, batch);
-    return tenant_ops ? direct->AppendForTenant(tenant, batch)
-                      : direct->Append(batch);
+    return direct->AppendForTenant(tenant, batch);
   }
 
-  Result<Stage1Response> ReadOne(uint64_t tenant, bool tenant_ops,
-                                 const EntryIndex& index) {
+  Result<Stage1Response> ReadOne(uint64_t tenant, const EntryIndex& index) {
     if (fleet != nullptr) return fleet->ReadOne(tenant, index);
-    return tenant_ops ? direct->ReadOneForTenant(tenant, index)
-                      : direct->ReadOne(index);
+    return direct->ReadOneForTenant(tenant, index);
   }
 };
 
@@ -352,11 +347,8 @@ struct RunState {
 
 void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
            Rng& rng) {
-  // Tenant 0 is the only tenant (and gets the legacy ops) when --tenants
-  // is 1, so the single-tenant smoke run exercises the original path.
   size_t tenant = state.zipf->Sample(rng);
   TenantState& ten = *state.tenants[tenant];
-  bool tenant_ops = opts.tenants > 1;
   bool do_read = rng.NextDouble() < opts.read_fraction;
   if (do_read) {
     EntryIndex target;
@@ -370,7 +362,7 @@ void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
     }
     if (do_read) {
       Micros start = RealClock::Global()->NowMicros();
-      auto response = client.ReadOne(tenant, tenant_ops, target);
+      auto response = client.ReadOne(tenant, target);
       state.read_hist->Record(RealClock::Global()->NowMicros() - start);
       if (response.ok()) {
         state.read_ops->Add(1);
@@ -400,7 +392,7 @@ void DoOne(const Options& opts, RunState& state, ClientAdapter& client,
                                  "tenant=" + std::to_string(tenant));
   }
   Micros start = RealClock::Global()->NowMicros();
-  auto responses = client.Append(tenant, tenant_ops, ten.corpus[i]);
+  auto responses = client.Append(tenant, ten.corpus[i]);
   Micros took = RealClock::Global()->NowMicros() - start;
   if (trace_id != 0) {
     uint64_t log_id =
@@ -475,21 +467,21 @@ bench::JsonRow& StampQuantiles(bench::JsonRow& row, const MetricsSnapshot& snap,
 int Run(const Options& opts) {
   using bench::JsonRow;
 
-  // Optional in-process server (still real TCP over loopback). With
-  // --tenants > 1 the spawned server is the sharded engine so the
-  // tenant-scoped ops and admission quotas are live end to end.
-  std::unique_ptr<Deployment> deployment;
+  // Optional in-process server (still real TCP over loopback): one
+  // shard for a single tenant, --server-shards for several.
   std::unique_ptr<ShardedDeployment> sharded;
   std::unique_ptr<RpcServer> server;
+  std::string temp_log_dir;  ///< Auto-created --log-dir, removed at exit.
   std::string host = opts.host;
   uint16_t port = opts.port;
-  if (opts.spawn_server && opts.tenants > 1) {
+  const uint32_t server_shards = opts.tenants > 1 ? opts.server_shards : 1;
+  if (opts.spawn_server) {
     ShardedDeploymentConfig config;
-    config.engine.num_shards = opts.server_shards;
+    config.engine.num_shards = server_shards;
     config.engine.node.batch_size = opts.batch;
     config.engine.node.worker_threads = 4;
     config.engine.node.verify_client_signatures = opts.verify_sigs;
-    config.engine.forest_stage2 = opts.server_shards > 1;
+    config.engine.forest_stage2 = server_shards > 1;
     config.engine.quota.entries_per_second = opts.tenant_rate;
     config.engine.quota.burst_entries = opts.tenant_burst;
     config.engine.quota.max_inflight_appends = opts.tenant_inflight;
@@ -505,11 +497,12 @@ int Run(const Options& opts) {
           return 1;
         }
         config.log_dir = tmpl;
+        temp_log_dir = tmpl;
       }
     }
     auto d = ShardedDeployment::Create(config);
     if (!d.ok()) {
-      std::fprintf(stderr, "sharded deployment failed: %s\n",
+      std::fprintf(stderr, "deployment failed: %s\n",
                    d.status().ToString().c_str());
       return 1;
     }
@@ -523,31 +516,6 @@ int Run(const Options& opts) {
         },
         KeyPair::FromSeed(config.engine_key_seed), server_config,
         &sharded->telemetry());
-    Status started = server->Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   started.ToString().c_str());
-      return 1;
-    }
-    host = "127.0.0.1";
-    port = server->port();
-  } else if (opts.spawn_server) {
-    DeploymentConfig config;
-    config.node.batch_size = opts.batch;
-    config.node.worker_threads = 4;
-    config.node.verify_client_signatures = opts.verify_sigs;
-    auto d = Deployment::Create(config);
-    if (!d.ok()) {
-      std::fprintf(stderr, "deployment failed: %s\n",
-                   d.status().ToString().c_str());
-      return 1;
-    }
-    deployment = std::move(d).value();
-    RpcServerConfig server_config;
-    server_config.num_workers = opts.server_workers;
-    server = std::make_unique<RpcServer>(
-        &deployment->node(), KeyPair::FromSeed(config.offchain_key_seed),
-        server_config, &deployment->telemetry());
     Status started = server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "server start failed: %s\n",
@@ -747,10 +715,16 @@ int Run(const Options& opts) {
     }
   }
   if (sharded != nullptr) {
+    // Server-side view (same process when --spawn-server).
     MetricsSnapshot server_snap = sharded->telemetry().metrics.Snapshot();
-    row.Field("server_shards", static_cast<uint64_t>(opts.server_shards))
+    row.Field("server_shards", static_cast<uint64_t>(server_shards))
         .Field("server_requests",
                server_snap.CounterValue("wedge.rpc.requests"))
+        .Field("server_bytes_in", server_snap.CounterValue("wedge.rpc.bytes_in"))
+        .Field("server_bytes_out",
+               server_snap.CounterValue("wedge.rpc.bytes_out"))
+        .Field("server_malformed",
+               server_snap.CounterValue("wedge.rpc.malformed_frames"))
         .Field("server_quota_rejections",
                server_snap.CounterValue("wedge.engine.quota_rejections_rate") +
                    server_snap.CounterValue(
@@ -758,29 +732,17 @@ int Run(const Options& opts) {
                    server_snap.CounterValue(
                        "wedge.engine.quota_rejections_tenant"));
     StampQuantiles(row, server_snap, "wedge.rpc.append_us", "server_append_us");
-  }
-  if (deployment != nullptr) {
-    // Server-side view (same process when --spawn-server).
-    MetricsSnapshot server_snap = deployment->telemetry().metrics.Snapshot();
-    row.Field("server_requests", server_snap.CounterValue("wedge.rpc.requests"))
-        .Field("server_bytes_in", server_snap.CounterValue("wedge.rpc.bytes_in"))
-        .Field("server_bytes_out",
-               server_snap.CounterValue("wedge.rpc.bytes_out"))
-        .Field("server_malformed",
-               server_snap.CounterValue("wedge.rpc.malformed_frames"));
-    StampQuantiles(row, server_snap, "wedge.rpc.append_us", "server_append_us");
     StampQuantiles(row, server_snap, "wedge.rpc.read_us", "server_read_us");
   }
   row.Print();
 
   bench::MaybeWriteTelemetry(opts.telemetry_out, state.telemetry,
                              /*truncate=*/true);
-  if (deployment != nullptr) {
-    bench::MaybeWriteTelemetry(opts.telemetry_out, deployment->telemetry());
-  }
   if (sharded != nullptr) {
     bench::MaybeWriteTelemetry(opts.telemetry_out, sharded->telemetry());
   }
+  sharded.reset();  // Closes the stores before their directory goes.
+  if (!temp_log_dir.empty()) std::filesystem::remove_all(temp_log_dir);
   // Any failed request is a loud failure: a dead shard or unreachable
   // daemon mid-run must not exit 0 just because other requests landed.
   if (errors > 0) {

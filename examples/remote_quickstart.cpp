@@ -1,7 +1,8 @@
 // remote_quickstart — the quickstart flow over real TCP.
 //
-// Boots a deployment, serves it with rpc/RpcServer on an ephemeral
-// loopback port, then talks to it with a pooled rpc/TcpNodeClient the way
+// Boots a 1-shard deployment in the paper's per-batch stage-2 mode (what
+// wedgeblockd serves by default), serves it with rpc/RpcServer on an
+// ephemeral loopback port, then talks to it with a pooled rpc/TcpNodeClient the way
 // a publisher on another machine would (paper §5): signed append over the
 // socket, stage-1 proof verification, a verified read back, and a clean
 // drain/shutdown. Prints "remote quickstart OK" when every check passed.
@@ -12,9 +13,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/wedgeblock.h"
 #include "rpc/rpc_server.h"
 #include "rpc/tcp_client.h"
+#include "shard/shard_rpc.h"
+#include "shard/sharded_engine.h"
 
 using namespace wedge;
 
@@ -25,19 +27,25 @@ int main() {
     return 0;
   }
 
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  auto deployment = Deployment::Create(config);
+  ShardedDeploymentConfig config;
+  config.engine.node.batch_size = 4;
+  config.engine.forest_stage2 = false;
+  auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) {
     std::fprintf(stderr, "deploy: %s\n",
                  deployment.status().ToString().c_str());
     return 1;
   }
-  Deployment& d = **deployment;
+  ShardedDeployment& d = **deployment;
+  ShardedLogEngine& engine = d.engine();
 
   RpcServerConfig server_config;  // Ephemeral port on 127.0.0.1.
-  KeyPair transport_key = KeyPair::FromSeed(config.offchain_key_seed);
-  RpcServer server(&d.node(), transport_key, server_config, &d.telemetry());
+  KeyPair transport_key = KeyPair::FromSeed(config.engine_key_seed);
+  RpcServer server(
+      [&engine](std::string_view op, const Bytes& body) {
+        return DispatchEngineRpc(engine, op, body);
+      },
+      transport_key, server_config, &d.telemetry());
   if (Status s = server.Start(); !s.ok()) {
     std::fprintf(stderr, "start: %s\n", s.ToString().c_str());
     return 1;
@@ -61,14 +69,15 @@ int main() {
                                         ToBytes("sensor-" + std::to_string(i)),
                                         ToBytes("reading")));
   }
-  auto responses = client.Append(batch);
+  constexpr TenantId kTenant = 0;
+  auto responses = client.AppendForTenant(kTenant, batch);
   if (!responses.ok() || responses->size() != 4) {
     std::fprintf(stderr, "append: %s\n",
                  responses.status().ToString().c_str());
     return 1;
   }
   for (const auto& r : *responses) {
-    if (!r.Verify(d.node().address())) {
+    if (!r.Verify(engine.address())) {
       std::fprintf(stderr, "stage-1 proof failed to verify\n");
       return 1;
     }
@@ -76,15 +85,15 @@ int main() {
   std::printf("4 appends acknowledged with verified stage-1 proofs\n");
 
   // Verified read back over the same pool.
-  auto read = client.ReadOne(responses->front().index);
-  if (!read.ok() || !read->Verify(d.node().address())) {
+  auto read = client.ReadOneForTenant(kTenant, responses->front().index);
+  if (!read.ok() || !read->Verify(engine.address())) {
     std::fprintf(stderr, "read-back failed\n");
     return 1;
   }
 
   // Stage 2 still works underneath: mine and check the root landed.
   d.AdvanceBlocks(4);
-  if (d.node().UncommittedDigests() != 0) {
+  if (engine.shard(0).UncommittedDigests() != 0) {
     std::fprintf(stderr, "stage-2 commit missing\n");
     return 1;
   }

@@ -1,44 +1,21 @@
 #include "core/rpc_codec.h"
 
-#include "core/offchain_node.h"
-
 namespace wedge {
-
-Bytes EncodeAppendBody(const std::vector<AppendRequest>& requests) {
-  Bytes body;
-  PutU32(body, static_cast<uint32_t>(requests.size()));
-  for (const AppendRequest& r : requests) PutBytes(body, r.Serialize());
-  return body;
-}
-
-Bytes EncodeReadBody(const EntryIndex& index) {
-  Bytes body;
-  PutU64(body, index.log_id);
-  PutU32(body, index.offset);
-  return body;
-}
-
-Bytes EncodeReadBatchBody(uint64_t log_id,
-                          const std::vector<uint32_t>& offsets) {
-  Bytes body;
-  PutU64(body, log_id);
-  PutU32(body, static_cast<uint32_t>(offsets.size()));
-  for (uint32_t off : offsets) PutU32(body, off);
-  return body;
-}
 
 Bytes EncodeTenantAppendBody(TenantId tenant,
                              const std::vector<AppendRequest>& requests) {
   Bytes body;
   PutU64(body, tenant);
-  Append(body, EncodeAppendBody(requests));
+  PutU32(body, static_cast<uint32_t>(requests.size()));
+  for (const AppendRequest& r : requests) PutBytes(body, r.Serialize());
   return body;
 }
 
 Bytes EncodeTenantReadBody(TenantId tenant, const EntryIndex& index) {
   Bytes body;
   PutU64(body, tenant);
-  Append(body, EncodeReadBody(index));
+  PutU64(body, index.log_id);
+  PutU32(body, index.offset);
   return body;
 }
 
@@ -46,7 +23,9 @@ Bytes EncodeTenantReadBatchBody(TenantId tenant, uint64_t log_id,
                                 const std::vector<uint32_t>& offsets) {
   Bytes body;
   PutU64(body, tenant);
-  Append(body, EncodeReadBatchBody(log_id, offsets));
+  PutU64(body, log_id);
+  PutU32(body, static_cast<uint32_t>(offsets.size()));
+  for (uint32_t off : offsets) PutU32(body, off);
   return body;
 }
 
@@ -81,65 +60,6 @@ Result<BatchReadResponse> DecodeReadBatchReply(const Bytes& reply) {
 
 Result<AggregationProof> DecodeAggProofReply(const Bytes& reply) {
   return AggregationProof::Deserialize(reply);
-}
-
-Result<Bytes> DispatchNodeRpc(OffchainNode& node, std::string_view op,
-                              const Bytes& body) {
-  ByteReader reader(body);
-  if (op == kOpAppend) {
-    WEDGE_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-    if (count == 0 || count > 1u << 20) {
-      return Status::InvalidArgument("bad append count");
-    }
-    std::vector<AppendRequest> requests;
-    requests.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      WEDGE_ASSIGN_OR_RETURN(Bytes raw, reader.ReadBytes());
-      WEDGE_ASSIGN_OR_RETURN(AppendRequest req,
-                             AppendRequest::Deserialize(raw));
-      requests.push_back(std::move(req));
-    }
-    if (!reader.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after append body");
-    }
-    WEDGE_ASSIGN_OR_RETURN(std::vector<Stage1Response> responses,
-                           node.Append(std::move(requests)));
-    Bytes out;
-    PutU32(out, static_cast<uint32_t>(responses.size()));
-    for (const Stage1Response& r : responses) PutBytes(out, r.Serialize());
-    return out;
-  }
-  if (op == kOpRead) {
-    EntryIndex index;
-    WEDGE_ASSIGN_OR_RETURN(index.log_id, reader.ReadU64());
-    WEDGE_ASSIGN_OR_RETURN(index.offset, reader.ReadU32());
-    if (!reader.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after read body");
-    }
-    WEDGE_ASSIGN_OR_RETURN(Stage1Response response, node.ReadOne(index));
-    return response.Serialize();
-  }
-  if (op == kOpReadBatch) {
-    uint64_t log_id;
-    WEDGE_ASSIGN_OR_RETURN(log_id, reader.ReadU64());
-    WEDGE_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
-    if (count > 1u << 20) {
-      return Status::InvalidArgument("bad readBatch count");
-    }
-    std::vector<uint32_t> offsets;
-    offsets.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      WEDGE_ASSIGN_OR_RETURN(uint32_t off, reader.ReadU32());
-      offsets.push_back(off);
-    }
-    if (!reader.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after readBatch body");
-    }
-    WEDGE_ASSIGN_OR_RETURN(BatchReadResponse response,
-                           node.ReadBatch(log_id, std::move(offsets)));
-    return response.Serialize();
-  }
-  return Status::NotFound("unknown rpc op");
 }
 
 }  // namespace wedge

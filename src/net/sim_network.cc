@@ -1,7 +1,5 @@
 #include "net/sim_network.h"
 
-#include <algorithm>
-
 namespace wedge {
 
 Micros SimLink::DelayFor(size_t size_bytes) {
@@ -82,46 +80,6 @@ bool MessageBus::Step() {
 size_t MessageBus::InFlight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-SignedEnvelope SignedEnvelope::Create(const KeyPair& key, Bytes payload) {
-  SignedEnvelope env;
-  env.sender = key.address();
-  env.payload = std::move(payload);
-  Bytes material;
-  Append(material, env.sender.ToBytes());
-  PutBytes(material, env.payload);
-  env.signature = EcdsaSign(key.private_key(), Sha256::Digest(material));
-  return env;
-}
-
-bool SignedEnvelope::Verify() const {
-  Bytes material;
-  Append(material, sender.ToBytes());
-  PutBytes(material, payload);
-  return RecoverSigner(Sha256::Digest(material), signature) == sender;
-}
-
-Bytes SignedEnvelope::Serialize() const {
-  Bytes out;
-  Append(out, sender.ToBytes());
-  PutBytes(out, payload);
-  Append(out, signature.Serialize());
-  return out;
-}
-
-Result<SignedEnvelope> SignedEnvelope::Deserialize(const Bytes& b) {
-  ByteReader reader(b);
-  SignedEnvelope env;
-  WEDGE_ASSIGN_OR_RETURN(Bytes addr, reader.ReadRaw(20));
-  std::copy(addr.begin(), addr.end(), env.sender.bytes.begin());
-  WEDGE_ASSIGN_OR_RETURN(env.payload, reader.ReadBytes());
-  WEDGE_ASSIGN_OR_RETURN(Bytes sig, reader.ReadRaw(65));
-  WEDGE_ASSIGN_OR_RETURN(env.signature, EcdsaSignature::Deserialize(sig));
-  if (!reader.AtEnd()) {
-    return Status::InvalidArgument("trailing bytes after envelope");
-  }
-  return env;
 }
 
 }  // namespace wedge

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "common/random.h"
-#include "crypto/ecdsa.h"
 #include "telemetry/telemetry.h"
 
 namespace wedge {
@@ -106,24 +105,6 @@ class MessageBus {
   mutable std::mutex mu_;
   std::map<std::string, Handler> endpoints_;
   std::multimap<Micros, InFlightMessage> queue_;
-};
-
-/// A signed message envelope: the paper assumes every exchanged message is
-/// cryptographically signed (§3.1). Wraps (sender address, payload) with an
-/// ECDSA signature over their canonical encoding.
-struct SignedEnvelope {
-  Address sender;
-  Bytes payload;
-  EcdsaSignature signature;
-
-  /// Signs `payload` with `key` and builds the envelope.
-  static SignedEnvelope Create(const KeyPair& key, Bytes payload);
-
-  /// True iff the signature verifies against the claimed sender address.
-  bool Verify() const;
-
-  Bytes Serialize() const;
-  static Result<SignedEnvelope> Deserialize(const Bytes& b);
 };
 
 }  // namespace wedge

@@ -5,33 +5,31 @@
 #include <string_view>
 
 #include "common/bytes.h"
+#include "crypto/ecdsa.h"
 
 namespace wedge {
 
-/// Shared RPC wire protocol for WedgeBlock's client <-> Offchain Node
-/// boundary. Both transports — the simulated MessageBus (core/remote) and
-/// the real TCP stack (rpc/) — speak exactly this protocol, so a byte
-/// stream captured on one decodes identically on the other:
+/// The RPC wire protocol for WedgeBlock's client <-> Offchain Node
+/// boundary, spoken by the TCP transport (rpc/RpcServer and
+/// rpc/TcpNodeClient):
 ///
 ///   frame:    [u32 magic "WDGB"][u32 payload length][payload]
 ///   payload:  SignedEnvelope::Serialize() (sender, signed RPC message)
 ///   request:  [u64 rpc_id][string op][bytes body]
 ///   response: [u64 rpc_id][u8 ok][bytes body | string error]
 ///
-/// The message-oriented sim bus carries bare envelope payloads (framing is
-/// the bus's job); the byte-stream TCP transport adds the frame header.
-/// Every decoder here is bounds-checked and returns a typed error for
-/// truncated, oversized or garbage input — a malformed frame must never
-/// crash a server (satellite hardening task, ISSUE 3).
+/// Op bodies are defined in core/rpc_codec.h. Every decoder here is
+/// bounds-checked and returns a typed error for truncated, oversized or
+/// garbage input: a malformed frame must never crash a server.
 
 /// Frame header magic: rejects non-WedgeBlock traffic (and most stream
 /// desynchronization) before any allocation happens.
 constexpr uint32_t kFrameMagic = 0x57444742;  // "WDGB"
 constexpr size_t kFrameHeaderBytes = 8;       // magic + length.
 
-/// Default ceiling for one frame / one sim message. Sized for the paper's
-/// worst case (a 2000-entry batch of ~1 KB values plus per-entry Merkle
-/// proofs and signatures is a few MB).
+/// Default ceiling for one frame, sized for the paper's worst case (a
+/// 2000-entry batch of ~1 KB values plus per-entry Merkle proofs and
+/// signatures is a few MB).
 constexpr size_t kDefaultMaxFrameBytes = 32u << 20;
 
 /// Hard cap on the RPC op-name length; ops are short identifiers.
@@ -78,6 +76,24 @@ class FrameDecoder {
   Bytes buffer_;
   size_t pos_ = 0;  // Consumed prefix of buffer_ (compacted lazily).
   bool poisoned_ = false;
+};
+
+/// A signed message envelope: the paper assumes every exchanged message is
+/// cryptographically signed (§3.1). Wraps (sender address, payload) with an
+/// ECDSA signature over their canonical encoding.
+struct SignedEnvelope {
+  Address sender;
+  Bytes payload;
+  EcdsaSignature signature;
+
+  /// Signs `payload` with `key` and builds the envelope.
+  static SignedEnvelope Create(const KeyPair& key, Bytes payload);
+
+  /// True iff the signature verifies against the claimed sender address.
+  bool Verify() const;
+
+  Bytes Serialize() const;
+  static Result<SignedEnvelope> Deserialize(const Bytes& b);
 };
 
 /// One RPC request as carried inside a SignedEnvelope payload.

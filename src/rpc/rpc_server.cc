@@ -28,14 +28,6 @@ bool SetNonBlocking(int fd) {
 
 }  // namespace
 
-RpcServer::RpcServer(OffchainNode* node, KeyPair transport_key,
-                     RpcServerConfig config, Telemetry* telemetry)
-    : RpcServer(
-          [node](std::string_view op, const Bytes& body) {
-            return DispatchNodeRpc(*node, op, body);
-          },
-          std::move(transport_key), std::move(config), telemetry) {}
-
 RpcServer::RpcServer(Handler handler, KeyPair transport_key,
                      RpcServerConfig config, Telemetry* telemetry)
     : handler_(std::move(handler)),
@@ -320,7 +312,7 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
   auto envelope = SignedEnvelope::Deserialize(payload);
   if (!envelope.ok() || !envelope->Verify()) {
     // A byte-stream peer sending unsigned/forged envelopes is broken or
-    // malicious; unlike the lossy sim bus there is nothing to "drop".
+    // malicious: the stream cannot be trusted past this frame.
     malformed_counter_->Add(1);
     return false;
   }
@@ -352,28 +344,21 @@ bool RpcServer::ServePayload(Connection& conn, const Bytes& payload) {
     result = handler_(request->op, request->body);
   }
   Micros elapsed = RealClock::Global()->NowMicros() - start;
-  if (request->op == kOpAppend || request->op == kOpAppendTenant) {
+  if (request->op == kOpAppendTenant) {
     append_hist_->Record(elapsed);
-  } else if (request->op == kOpRead || request->op == kOpReadTenant ||
-             request->op == kOpAggProof) {
+  } else if (request->op == kOpReadTenant || request->op == kOpAggProof) {
     read_hist_->Record(elapsed);
-  } else if (request->op == kOpReadBatch ||
-             request->op == kOpReadBatchTenant) {
+  } else if (request->op == kOpReadBatchTenant) {
     read_batch_hist_->Record(elapsed);
   }
   OpHistogram(request->op)->Record(elapsed);
   if (config_.slow_request_micros > 0 &&
       elapsed >= config_.slow_request_micros) {
     slow_requests_counter_->Add(1);
-    // Tenant ops carry the tenant id as the leading u64 of the body;
-    // legacy single-tenant ops serve tenant 0.
-    uint64_t tenant = 0;
-    if (request->op == kOpAppendTenant || request->op == kOpReadTenant ||
-        request->op == kOpReadBatchTenant) {
-      ByteReader body_reader(request->body);
-      auto t = body_reader.ReadU64();
-      if (t.ok()) tenant = t.value();
-    }
+    // Every op carries the tenant id as the leading u64 of its body (a
+    // body too short to hold one is logged as tenant 0).
+    ByteReader body_reader(request->body);
+    uint64_t tenant = body_reader.ReadU64().value_or(0);
     int shard = config_.shard_for_tenant ? config_.shard_for_tenant(tenant)
                                          : -1;
     std::fprintf(stderr,

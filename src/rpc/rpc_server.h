@@ -10,9 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/offchain_node.h"
 #include "core/rpc_codec.h"
-#include "net/sim_network.h"
 #include "net/wire.h"
 #include "telemetry/telemetry.h"
 
@@ -42,16 +40,16 @@ struct RpcServerConfig {
   /// and duration, and bump wedge.rpc.slow_requests. 0 disables.
   Micros slow_request_micros = 0;
   /// Resolves the shard serving a tenant for the slow-request log (the
-  /// sharded daemon binds its engine's router); -1 when unset/unknown.
+  /// daemon binds its engine's router); -1 when unset/unknown.
   std::function<int(uint64_t tenant)> shard_for_tenant;
 };
 
-/// Epoll-based TCP RPC server fronting one OffchainNode: the real-transport
-/// counterpart of RemoteNodeServer (core/remote.h). One acceptor thread
-/// hands connections round-robin to `num_workers` event-loop threads; each
+/// Epoll-based TCP RPC server fronting one dispatch handler (in the tree,
+/// DispatchEngineRpc over a ShardedLogEngine). One acceptor thread hands
+/// connections round-robin to `num_workers` event-loop threads; each
 /// connection carries length-prefixed frames (net/wire.h) whose payloads
-/// are SignedEnvelope-wrapped RpcRequests, exactly as on the sim bus.
-/// Replies are signed with the node operator's transport key.
+/// are SignedEnvelope-wrapped RpcRequests. Replies are signed with the
+/// node operator's transport key.
 ///
 /// Robustness rules (tested by wire_test/rpc_test):
 ///  - a malformed frame header (bad magic, oversize) closes the connection;
@@ -67,16 +65,13 @@ struct RpcServerConfig {
 class RpcServer {
  public:
   /// Decodes an op body and produces a reply body (or a typed error the
-  /// server encodes into the error response). DispatchNodeRpc bound to a
-  /// node and DispatchEngineRpc bound to a sharded engine are the two
-  /// handlers in the tree; any Result-returning dispatcher works. Must be
-  /// thread-safe — every worker calls it concurrently.
+  /// server encodes into the error response). DispatchEngineRpc bound to
+  /// a sharded engine is the handler in the tree; any Result-returning
+  /// dispatcher works. Must be thread-safe — every worker calls it
+  /// concurrently.
   using Handler =
       std::function<Result<Bytes>(std::string_view op, const Bytes& body)>;
 
-  RpcServer(OffchainNode* node, KeyPair transport_key, RpcServerConfig config,
-            Telemetry* telemetry = nullptr);
-  /// Serves an arbitrary dispatch handler (e.g. a ShardedLogEngine).
   RpcServer(Handler handler, KeyPair transport_key, RpcServerConfig config,
             Telemetry* telemetry = nullptr);
   ~RpcServer();

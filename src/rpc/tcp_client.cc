@@ -395,28 +395,6 @@ Result<Bytes> TcpNodeClient::CallAttempt(uint64_t rpc_id, const Bytes& frame,
   return last;
 }
 
-Result<std::vector<Stage1Response>> TcpNodeClient::Append(
-    const std::vector<AppendRequest>& requests) {
-  WEDGE_ASSIGN_OR_RETURN(
-      Bytes reply,
-      Call(kOpAppend, EncodeAppendBody(requests), /*idempotent=*/false));
-  return DecodeAppendReply(reply);
-}
-
-Result<Stage1Response> TcpNodeClient::ReadOne(const EntryIndex& index) {
-  WEDGE_ASSIGN_OR_RETURN(
-      Bytes reply, Call(kOpRead, EncodeReadBody(index), /*idempotent=*/true));
-  return DecodeReadReply(reply);
-}
-
-Result<BatchReadResponse> TcpNodeClient::ReadBatch(
-    uint64_t log_id, const std::vector<uint32_t>& offsets) {
-  WEDGE_ASSIGN_OR_RETURN(
-      Bytes reply, Call(kOpReadBatch, EncodeReadBatchBody(log_id, offsets),
-                        /*idempotent=*/true));
-  return DecodeReadBatchReply(reply);
-}
-
 Result<std::vector<Stage1Response>> TcpNodeClient::AppendForTenant(
     TenantId tenant, const std::vector<AppendRequest>& requests) {
   WEDGE_ASSIGN_OR_RETURN(

@@ -13,7 +13,6 @@
 #include "common/random.h"
 #include "core/rpc_codec.h"
 #include "net/fault_transport.h"
-#include "net/sim_network.h"
 #include "net/wire.h"
 #include "telemetry/telemetry.h"
 
@@ -48,9 +47,8 @@ struct TcpClientConfig {
   Telemetry* telemetry = nullptr;
 };
 
-/// Real-socket counterpart of RemoteNodeClient (core/remote.h): same
-/// interface shape, same signed envelope payloads, but over a pool of TCP
-/// connections with request pipelining. Each pooled connection has one
+/// Client side of the TCP transport: signed envelope payloads
+/// (net/wire.h) over a pool of TCP connections with request pipelining. Each pooled connection has one
 /// reader thread that correlates responses to waiting callers by rpc_id,
 /// so many threads can have calls in flight on one socket and responses
 /// may return out of order. A response with an unknown rpc_id (stale,
@@ -67,7 +65,7 @@ struct TcpClientConfig {
 /// backoff + seeded jitter, but for non-idempotent ops (appends) only
 /// while the request provably never reached the wire.
 ///
-/// Thread-safe: any number of threads may call Append/ReadOne/ReadBatch
+/// Thread-safe: any number of threads may call the op methods
 /// concurrently.
 class TcpNodeClient {
  public:
@@ -87,16 +85,11 @@ class TcpNodeClient {
   /// the destructor calls it.
   void Close();
 
-  Result<std::vector<Stage1Response>> Append(
-      const std::vector<AppendRequest>& requests);
-  Result<Stage1Response> ReadOne(const EntryIndex& index);
-  Result<BatchReadResponse> ReadBatch(uint64_t log_id,
-                                      const std::vector<uint32_t>& offsets);
-
-  /// Tenant-scoped variants against a sharded daemon (core/rpc_codec.h
-  /// "appendT"/"readT"/"readBatchT"). Server-side quota rejections come
-  /// back as typed Code::kResourceExhausted statuses, not transport
-  /// errors — the connection stays usable.
+  /// Tenant-scoped ops (core/rpc_codec.h "appendT"/"readT"/"readBatchT";
+  /// a single-tenant daemon serves any tenant id from its one shard).
+  /// Server-side quota rejections come back as typed
+  /// Code::kResourceExhausted statuses, not transport errors — the
+  /// connection stays usable.
   Result<std::vector<Stage1Response>> AppendForTenant(
       TenantId tenant, const std::vector<AppendRequest>& requests);
   Result<Stage1Response> ReadOneForTenant(TenantId tenant,

@@ -4,8 +4,6 @@ namespace wedge {
 
 namespace {
 
-constexpr TenantId kLegacyTenant = 0;
-
 Result<Bytes> DispatchAppend(ShardedLogEngine& engine, TenantId tenant,
                              ByteReader& reader) {
   WEDGE_ASSIGN_OR_RETURN(uint32_t count, reader.ReadU32());
@@ -69,37 +67,30 @@ Result<Bytes> DispatchReadBatch(ShardedLogEngine& engine, TenantId tenant,
 
 Result<Bytes> DispatchEngineRpc(ShardedLogEngine& engine,
                                 std::string_view op, const Bytes& body) {
+  if (op != kOpAppendTenant && op != kOpReadTenant &&
+      op != kOpReadBatchTenant && op != kOpAggProof) {
+    return Status::NotFound("unknown rpc op");
+  }
+  // The wire tenant id is client-asserted. For appends the engine can
+  // bind it to the request's publisher key
+  // (ShardedEngineConfig::authenticate_tenants, typed PermissionDenied
+  // on mismatch); without that flag, per-tenant quotas assume
+  // cooperative clients.
   ByteReader reader(body);
-  if (op == kOpAppendTenant || op == kOpReadTenant ||
-      op == kOpReadBatchTenant || op == kOpAggProof) {
-    // The wire tenant id is client-asserted. For appends the engine can
-    // bind it to the request's publisher key
-    // (ShardedEngineConfig::authenticate_tenants, typed PermissionDenied
-    // on mismatch); without that flag, per-tenant quotas assume
-    // cooperative clients.
-    WEDGE_ASSIGN_OR_RETURN(TenantId tenant, reader.ReadU64());
-    if (op == kOpAppendTenant) return DispatchAppend(engine, tenant, reader);
-    if (op == kOpReadTenant) return DispatchRead(engine, tenant, reader);
-    if (op == kOpReadBatchTenant) {
-      return DispatchReadBatch(engine, tenant, reader);
-    }
-    // aggProof: [u64 tenant][u64 log_id] -> serialized AggregationProof.
-    WEDGE_ASSIGN_OR_RETURN(uint64_t log_id, reader.ReadU64());
-    if (!reader.AtEnd()) {
-      return Status::InvalidArgument("trailing bytes after aggProof body");
-    }
-    WEDGE_ASSIGN_OR_RETURN(AggregationProof proof,
-                           engine.ProveAggregation(tenant, log_id));
-    return proof.Serialize();
+  WEDGE_ASSIGN_OR_RETURN(TenantId tenant, reader.ReadU64());
+  if (op == kOpAppendTenant) return DispatchAppend(engine, tenant, reader);
+  if (op == kOpReadTenant) return DispatchRead(engine, tenant, reader);
+  if (op == kOpReadBatchTenant) {
+    return DispatchReadBatch(engine, tenant, reader);
   }
-  // Legacy single-node ops keep working against a sharded daemon,
-  // scoped to tenant 0.
-  if (op == kOpAppend) return DispatchAppend(engine, kLegacyTenant, reader);
-  if (op == kOpRead) return DispatchRead(engine, kLegacyTenant, reader);
-  if (op == kOpReadBatch) {
-    return DispatchReadBatch(engine, kLegacyTenant, reader);
+  // aggProof: [u64 tenant][u64 log_id] -> serialized AggregationProof.
+  WEDGE_ASSIGN_OR_RETURN(uint64_t log_id, reader.ReadU64());
+  if (!reader.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after aggProof body");
   }
-  return Status::NotFound("unknown rpc op");
+  WEDGE_ASSIGN_OR_RETURN(AggregationProof proof,
+                         engine.ProveAggregation(tenant, log_id));
+  return proof.Serialize();
 }
 
 }  // namespace wedge

@@ -6,10 +6,11 @@
 
 namespace wedge {
 
-/// Server-side dispatch for the sharded engine: the tenant-scoped ops
-/// ("appendT"/"readT"/"readBatchT"/"aggProof", see core/rpc_codec.h) plus
-/// the legacy single-node ops, which are served as tenant 0 — so a
-/// pre-sharding client keeps working against a sharded daemon.
+/// The RPC handler: decodes the tenant-scoped ops
+/// ("appendT"/"readT"/"readBatchT"/"aggProof", see core/rpc_codec.h),
+/// calls into the sharded engine and encodes the reply body. A single
+/// tenant is served by a 1-shard engine (forest_stage2=false, the
+/// paper's per-batch stage 2). Unknown ops are typed NotFound errors.
 ///
 /// Quota rejections propagate as typed ResourceExhausted errors; the RPC
 /// server encodes them into the error response via Status::ToString and

@@ -94,17 +94,13 @@ Result<std::unique_ptr<ShardedLogEngine>> ShardedLogEngine::Create(
 }
 
 Result<ShardedLogEngine::RecoveryReport> ShardedLogEngine::Recover() {
-  if (aggregator_ == nullptr) {
-    return Status::FailedPrecondition("recovery needs forest_stage2");
-  }
   RecoveryReport report;
-  report.journaled_epochs = aggregator_->epochs_closed();
 
   // Storage-tier reconciliation happened when each shard's store was
   // opened (segment backend: O(segments) trailer reads + WAL-tail
   // replay, stray .tmp cleanup); fold what it found into the one report
-  // so a single Recover() call accounts for all three layers — segment
-  // store, aggregator journal, on-chain forest roots.
+  // so a single Recover() call accounts for every layer — segment store,
+  // stage-2 journal, on-chain roots.
   for (auto& shard : shards_) {
     if (auto* seg = dynamic_cast<SegmentLogStore*>(&shard->store())) {
       const SegmentLogStore::RecoveryInfo& info = seg->recovery();
@@ -115,20 +111,29 @@ Result<ShardedLogEngine::RecoveryReport> ShardedLogEngine::Recover() {
     }
   }
 
-  // Shard-tail reconciliation: the file stores already replayed every
-  // sealed (hence acked) batch; anything past the journal's per-shard
-  // cursors was sealed but never epoch-assigned, so stage it now and
-  // close it into fresh epochs (journaled, then submitted).
-  aggregator_->PollShards();
-  report.restaged_roots = aggregator_->staged_count();
-  while (aggregator_->staged_count() > 0) {
-    WEDGE_RETURN_IF_ERROR(aggregator_->CloseEpoch().status());
-    ++report.recovered_epochs;
+  if (aggregator_ == nullptr) {
+    // Per-batch stage 2: every sealed position the chain has not
+    // recorded is re-journaled on its shard, whose submitter resubmits it.
+    for (auto& shard : shards_) {
+      WEDGE_ASSIGN_OR_RETURN(uint64_t requeued, shard->Recover());
+      report.restaged_roots += requeued;
+    }
+  } else {
+    report.journaled_epochs = aggregator_->epochs_closed();
+    // Shard-tail reconciliation: the file stores already replayed every
+    // sealed (hence acked) batch; anything past the journal's per-shard
+    // cursors was sealed but never epoch-assigned, so stage it now and
+    // close it into fresh epochs (journaled, then submitted).
+    aggregator_->PollShards();
+    report.restaged_roots = aggregator_->staged_count();
+    while (aggregator_->staged_count() > 0) {
+      WEDGE_RETURN_IF_ERROR(aggregator_->CloseEpoch().status());
+      ++report.recovered_epochs;
+    }
+    // Chain reconciliation for everything replayed from the journal.
+    WEDGE_RETURN_IF_ERROR(aggregator_->RecoverEpochs(
+        &report.resubmitted_epochs, &report.confirmed_epochs));
   }
-
-  // Chain reconciliation for everything replayed from the journal.
-  WEDGE_RETURN_IF_ERROR(aggregator_->RecoverEpochs(
-      &report.resubmitted_epochs, &report.confirmed_epochs));
 
   Counter* restaged =
       telemetry_->metrics.GetCounter("wedge.engine.recover_restaged");

@@ -77,7 +77,7 @@ class ShardedLogEngine {
   /// What one Recover() pass did.
   struct RecoveryReport {
     uint64_t journaled_epochs = 0;   ///< Epochs replayed from the journal.
-    uint64_t restaged_roots = 0;     ///< Sealed roots no journaled epoch held.
+    uint64_t restaged_roots = 0;     ///< Sealed roots no journal held.
     uint64_t recovered_epochs = 0;   ///< New epochs closed over those roots.
     uint64_t resubmitted_epochs = 0; ///< Journaled epochs resubmitted on chain.
     uint64_t confirmed_epochs = 0;   ///< Epochs found already recorded.
@@ -88,14 +88,16 @@ class ShardedLogEngine {
     uint64_t store_tmp_files_removed = 0;    ///< Interrupted seal scratch.
   };
 
-  /// One-pass crash recovery (forest mode): reconciles every shard's
+  /// One-pass crash recovery. Forest mode reconciles every shard's
   /// recovered log tail against the journal — any batch root sealed
   /// before the crash but never assigned to an epoch is staged and closed
   /// into fresh epochs — then checks every epoch with no in-flight
   /// transaction against the chain's forest record, resubmitting the
-  /// ones whose root never landed. Idempotent: a second call (or a call
-  /// after a clean shutdown) finds nothing to do. Generalizes
-  /// OffchainNode::Recover to the sharded topology.
+  /// ones whose root never landed. Per-batch stage-2 mode runs
+  /// OffchainNode::Recover on each shard (re-journals every sealed
+  /// position the chain has not recorded; counted in restaged_roots).
+  /// Call once, before serving. In forest mode a second call (or a call
+  /// after a clean shutdown) finds nothing to do.
   Result<RecoveryReport> Recover();
 
   /// Routed, admission-controlled append. Quota rejections are typed

@@ -5,11 +5,15 @@
 // stage-1 proof verifying, and its log covered by a verifying forest
 // aggregation proof.
 //
+// Also checks the daemon's default (1-shard, per-batch stage 2) mode on a
+// durable store across a graceful restart.
+//
 // WEDGE_WEDGEBLOCKD_PATH is injected by CMake ($<TARGET_FILE:wedgeblockd>).
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime.
 
 #include "tools/chaos_harness.h"
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -17,6 +21,8 @@
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "rpc/tcp_client.h"
 
 namespace wedge {
 namespace {
@@ -153,6 +159,93 @@ TEST(ChaosScenarioTest, SegmentStoreFleetLosesNothing) {
   EXPECT_TRUE(saw_segment);
 
   std::filesystem::remove_all(options.fleet.work_dir);
+}
+
+TEST(DaemonDefaultModeTest, DurableSegmentLogSurvivesRestart) {
+  if (SocketTestsDisabled()) {
+    GTEST_SKIP() << "WEDGE_SKIP_SOCKET_TESTS=1";
+  }
+  // No --shards: the default 1-shard engine must honour the durability
+  // flags, so every acked entry survives a restart with --recover.
+  const std::string work_dir =
+      (std::filesystem::temp_directory_path() /
+       ("wedge_default_daemon_test_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(work_dir);
+  std::filesystem::create_directories(work_dir);
+  std::vector<std::string> args = {
+      WEDGE_WEDGEBLOCKD_PATH, "--log-dir", work_dir, "--store", "segment",
+      "--fsync", "--batch", "4", "--mine-ms", "25", "--node-threads", "1",
+      "--workers", "1", "--port", "0", "--admin-port", "0"};
+  const Address engine =
+      KeyPair::FromSeed(ShardedDeploymentConfig{}.engine_key_seed).address();
+  auto connect = [&](uint16_t port) {
+    TcpClientConfig config;
+    config.port = port;
+    return std::make_unique<TcpNodeClient>(KeyPair::FromSeed(0xC11E), engine,
+                                           config);
+  };
+
+  // A failed assertion must not leave a daemon serving forever.
+  struct Reaper {
+    DaemonProcess* daemon = nullptr;
+    ~Reaper() {
+      if (daemon != nullptr) StopDaemon(*daemon, SIGKILL);
+    }
+  };
+  auto first = SpawnDaemon(args, 60 * kMicrosPerSecond);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Reaper reap_first{&*first};
+  EXPECT_TRUE(std::filesystem::is_directory(work_dir + "/shard-0.seg"));
+
+  struct Acked {
+    EntryIndex index;
+    Bytes entry;
+  };
+  std::vector<Acked> acked;
+  {
+    auto client = connect(first->port);
+    ASSERT_TRUE(client->Connect().ok());
+    KeyPair publisher = KeyPair::FromSeed(0x9A00);
+    Rng rng(0xD0C);
+    uint64_t seq = 0;
+    for (int b = 0; b < 5; ++b) {
+      std::vector<AppendRequest> batch;
+      for (int e = 0; e < 4; ++e) {
+        batch.push_back(AppendRequest::Make(publisher, seq++,
+                                            ToBytes(rng.NextString(8)),
+                                            rng.NextBytes(48)));
+      }
+      auto responses = client->AppendForTenant(0, batch);
+      ASSERT_TRUE(responses.ok()) << responses.status().ToString();
+      for (const Stage1Response& r : *responses) {
+        ASSERT_TRUE(r.Verify(engine));
+        acked.push_back(Acked{r.index, r.entry.get()});
+      }
+    }
+    client->Close();
+  }
+  StopDaemon(*first, SIGTERM);
+
+  args.push_back("--recover");
+  auto second = SpawnDaemon(args, 60 * kMicrosPerSecond);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  Reaper reap_second{&*second};
+  EXPECT_NE(second->startup_output.find("RECOVERED "), std::string::npos)
+      << second->startup_output;
+  {
+    auto client = connect(second->port);
+    ASSERT_TRUE(client->Connect().ok());
+    for (const Acked& a : acked) {
+      auto read = client->ReadOneForTenant(0, a.index);
+      ASSERT_TRUE(read.ok()) << read.status().ToString();
+      EXPECT_TRUE(read->Verify(engine));
+      EXPECT_EQ(read->entry.get(), a.entry);
+    }
+    client->Close();
+  }
+  StopDaemon(*second, SIGTERM);
+  std::filesystem::remove_all(work_dir);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Loopback end-to-end tests for the real TCP transport (src/rpc/):
-// RpcServer + TcpNodeClient against a live Deployment on an ephemeral
-// 127.0.0.1 port. Also replays the malformed-frame corpus against both the
-// TCP server and the sim-bus server to pin down the shared hardening rules.
+// Loopback end-to-end tests for the TCP transport (src/rpc/): RpcServer
+// serving DispatchEngineRpc over a 1-shard ShardedDeployment in the
+// paper's per-batch stage-2 mode (what wedgeblockd serves by default),
+// driven by TcpNodeClient on an ephemeral 127.0.0.1 port. Raw-socket
+// peers play the adversary: malformed frames against the server, and a
+// silent or lying fake server against the client.
 //
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime (sandboxes without
 // loopback networking); the WEDGE_SKIP_SOCKET_TESTS CMake option removes
@@ -21,10 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/remote.h"
-#include "core/wedgeblock.h"
 #include "rpc/rpc_server.h"
 #include "rpc/tcp_client.h"
+#include "shard/shard_rpc.h"
+#include "shard/sharded_engine.h"
 
 namespace wedge {
 namespace {
@@ -62,6 +64,30 @@ bool WriteAll(int fd, const Bytes& data) {
   return true;
 }
 
+// A loopback listener on an ephemeral port for fake-server tests. The
+// kernel completes a client's connect() from the backlog, so a peer that
+// never calls accept() still looks connected.
+int ListenLoopback(uint16_t* port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      ::listen(fd, 4) != 0 ||
+      ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  // Bounds accept() and every read on the accepted sockets.
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  *port = ntohs(addr.sin_port);
+  return fd;
+}
+
 // Reads frames off `fd` until one completes (or EOF / timeout).
 Result<Bytes> ReadOneFrame(int fd) {
   FrameDecoder decoder;
@@ -78,22 +104,31 @@ Result<Bytes> ReadOneFrame(int fd) {
   }
 }
 
+constexpr TenantId kTenant = 0;
+
+// The wedgeblockd default: one shard, per-batch stage 2.
+ShardedDeploymentConfig OneShardConfig() {
+  ShardedDeploymentConfig config;
+  config.engine.node.batch_size = 4;
+  config.engine.node.worker_threads = 1;
+  config.engine.forest_stage2 = false;
+  return config;
+}
+
 class RpcTest : public ::testing::Test {
  protected:
   void SetUp() override {
     if (SocketTestsDisabled()) {
       GTEST_SKIP() << "WEDGE_SKIP_SOCKET_TESTS=1";
     }
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.node.worker_threads = 1;
-    auto d = Deployment::Create(config);
+    ShardedDeploymentConfig config = OneShardConfig();
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     deployment_ = std::move(d).value();
     server_key_ = std::make_unique<KeyPair>(
-        KeyPair::FromSeed(config.offchain_key_seed));
+        KeyPair::FromSeed(config.engine_key_seed));
     RpcServerConfig server_config;  // Ephemeral port.
-    server_ = std::make_unique<RpcServer>(&deployment_->node(), *server_key_,
+    server_ = std::make_unique<RpcServer>(Handler(), *server_key_,
                                           server_config,
                                           &deployment_->telemetry());
     ASSERT_TRUE(server_->Start().ok());
@@ -103,6 +138,15 @@ class RpcTest : public ::testing::Test {
   void TearDown() override {
     if (server_ != nullptr) server_->Shutdown();
   }
+
+  RpcServer::Handler Handler() {
+    ShardedLogEngine* engine = &deployment_->engine();
+    return [engine](std::string_view op, const Bytes& body) {
+      return DispatchEngineRpc(*engine, op, body);
+    };
+  }
+
+  const Address& engine_address() { return deployment_->engine().address(); }
 
   std::unique_ptr<TcpNodeClient> MakeClient(int pool_size = 1,
                                             Micros timeout = 5 *
@@ -127,7 +171,7 @@ class RpcTest : public ::testing::Test {
     return out;
   }
 
-  std::unique_ptr<Deployment> deployment_;
+  std::unique_ptr<ShardedDeployment> deployment_;
   std::unique_ptr<KeyPair> server_key_;
   std::unique_ptr<RpcServer> server_;
 };
@@ -138,27 +182,27 @@ TEST_F(RpcTest, AppendReadAndBatchReadOverLoopback) {
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
 
-  auto responses = client->Append(MakeBatch(publisher, seq, 4));
+  auto responses = client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses->size(), 4u);
   for (const auto& r : *responses) {
-    EXPECT_TRUE(r.Verify(deployment_->node().address()));
+    EXPECT_TRUE(r.Verify(engine_address()));
   }
 
-  auto read = client->ReadOne(EntryIndex{0, 2});
+  auto read = client->ReadOneForTenant(kTenant, EntryIndex{0, 2});
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read->index, (EntryIndex{0, 2}));
-  EXPECT_TRUE(read->Verify(deployment_->node().address()));
+  EXPECT_TRUE(read->Verify(engine_address()));
 
-  auto missing = client->ReadOne(EntryIndex{9, 0});
+  auto missing = client->ReadOneForTenant(kTenant, EntryIndex{9, 0});
   ASSERT_FALSE(missing.ok());
   // Remote errors arrive typed (Status::FromWireString round-trip).
   EXPECT_EQ(missing.status().code(), Code::kNotFound);
 
-  auto batch = client->ReadBatch(0, {0, 3});
+  auto batch = client->ReadBatchForTenant(kTenant, 0, {0, 3});
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->entries.size(), 2u);
-  EXPECT_TRUE(batch->Verify(deployment_->node().address()));
+  EXPECT_TRUE(batch->Verify(engine_address()));
 
   EXPECT_EQ(client->discarded_responses(), 0u);
   EXPECT_EQ(server_->requests_served(), 4u);
@@ -178,18 +222,18 @@ TEST_F(RpcTest, ConcurrentPipelinedClientsEveryProofVerifies) {
       KeyPair publisher = KeyPair::FromSeed(1000 + t);
       uint64_t seq = 0;
       for (int round = 0; round < kRounds; ++round) {
-        auto responses = client->Append(
+        auto responses = client->AppendForTenant(kTenant, 
             MakeBatch(publisher, seq, 4, "t" + std::to_string(t) + "-"));
         if (!responses.ok() || responses->size() != 4) {
           ++failures;
           continue;
         }
         for (const auto& r : *responses) {
-          if (!r.Verify(deployment_->node().address())) ++failures;
+          if (!r.Verify(engine_address())) ++failures;
         }
-        auto read = client->ReadOne(responses->front().index);
+        auto read = client->ReadOneForTenant(kTenant, responses->front().index);
         if (!read.ok() || read->index != responses->front().index ||
-            !read->Verify(deployment_->node().address())) {
+            !read->Verify(engine_address())) {
           ++failures;
         }
       }
@@ -215,7 +259,7 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
   ASSERT_TRUE(client->Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  ASSERT_TRUE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  ASSERT_TRUE(client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
 
   std::atomic<int> failures{0};
   std::thread writer([&] {
@@ -228,12 +272,12 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
                                             ToBytes("big"),
                                             Bytes(16 * 1024, 0xAB)));
       }
-      if (!client->Append(batch).ok()) ++failures;
+      if (!client->AppendForTenant(kTenant, batch).ok()) ++failures;
     }
   });
   std::thread reader([&] {
     for (int i = 0; i < 40; ++i) {
-      auto read = client->ReadOne(EntryIndex{0, static_cast<uint32_t>(i % 4)});
+      auto read = client->ReadOneForTenant(kTenant, EntryIndex{0, static_cast<uint32_t>(i % 4)});
       if (!read.ok() ||
           read->index.offset != static_cast<uint32_t>(i % 4)) {
         ++failures;
@@ -247,64 +291,64 @@ TEST_F(RpcTest, OutOfOrderResponsesOnOneSocket) {
   client->Close();
 }
 
-TEST_F(RpcTest, SimAndTcpTransportsAreCodecIdentical) {
-  // The same deterministic workload through the sim bus and through TCP
-  // must produce byte-identical stage-1 responses (RFC 6979 signing makes
-  // the node's signatures deterministic). This is the protocol-identity
-  // guarantee the shared codec exists for.
-  DeploymentConfig config;
-  config.node.batch_size = 4;
-  config.node.worker_threads = 1;
-  auto sim_deployment = Deployment::Create(config);
-  ASSERT_TRUE(sim_deployment.ok());
-  MessageBus bus(&(*sim_deployment)->clock(), NetworkConfig{}, 77);
-  KeyPair sim_server_key = KeyPair::FromSeed(config.offchain_key_seed);
-  RemoteNodeServer sim_server(&(*sim_deployment)->node(), sim_server_key,
-                              &bus, "offchain-node");
-  RemoteNodeClient sim_client(KeyPair::FromSeed(0xC11E), &bus,
-                              &(*sim_deployment)->clock(), "offchain-node",
-                              sim_server_key.address());
+TEST_F(RpcTest, TcpRepliesMatchInProcessEngineCalls) {
+  // The same deterministic workload through TCP and through direct calls
+  // on a twin engine must produce byte-identical stage-1 responses (RFC
+  // 6979 signing makes the engine's signatures deterministic): the
+  // transport adds nothing to, and loses nothing from, what the engine
+  // answers.
+  auto twin = ShardedDeployment::Create(OneShardConfig());
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  ShardedLogEngine& local = (*twin)->engine();
 
   auto tcp_client = MakeClient();
   ASSERT_TRUE(tcp_client->Connect().ok());
 
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
-  uint64_t sim_seq = 0, tcp_seq = 0;
-  auto sim_responses = sim_client.Append(MakeBatch(publisher, sim_seq, 4));
-  auto tcp_responses = tcp_client->Append(MakeBatch(publisher, tcp_seq, 4));
-  ASSERT_TRUE(sim_responses.ok());
+  uint64_t local_seq = 0, tcp_seq = 0;
+  auto local_responses =
+      local.Append(kTenant, MakeBatch(publisher, local_seq, 4));
+  auto tcp_responses =
+      tcp_client->AppendForTenant(kTenant, MakeBatch(publisher, tcp_seq, 4));
+  ASSERT_TRUE(local_responses.ok());
   ASSERT_TRUE(tcp_responses.ok());
-  ASSERT_EQ(sim_responses->size(), tcp_responses->size());
-  for (size_t i = 0; i < sim_responses->size(); ++i) {
-    EXPECT_EQ((*sim_responses)[i].Serialize(), (*tcp_responses)[i].Serialize())
-        << "response " << i << " differs across transports";
+  ASSERT_EQ(local_responses->size(), tcp_responses->size());
+  for (size_t i = 0; i < local_responses->size(); ++i) {
+    EXPECT_EQ((*local_responses)[i].Serialize(),
+              (*tcp_responses)[i].Serialize())
+        << "response " << i << " differs across the wire";
   }
 
-  auto sim_read = sim_client.ReadOne(EntryIndex{0, 1});
-  auto tcp_read = tcp_client->ReadOne(EntryIndex{0, 1});
-  ASSERT_TRUE(sim_read.ok());
+  auto local_read = local.ReadOne(kTenant, EntryIndex{0, 1});
+  auto tcp_read = tcp_client->ReadOneForTenant(kTenant, EntryIndex{0, 1});
+  ASSERT_TRUE(local_read.ok());
   ASSERT_TRUE(tcp_read.ok());
-  EXPECT_EQ(sim_read->Serialize(), tcp_read->Serialize());
+  EXPECT_EQ(local_read->Serialize(), tcp_read->Serialize());
+
+  auto local_batch = local.ReadBatch(kTenant, 0, {0, 3});
+  auto tcp_batch = tcp_client->ReadBatchForTenant(kTenant, 0, {0, 3});
+  ASSERT_TRUE(local_batch.ok());
+  ASSERT_TRUE(tcp_batch.ok());
+  EXPECT_EQ(local_batch->Serialize(), tcp_batch->Serialize());
   tcp_client->Close();
 }
 
-TEST_F(RpcTest, MalformedFrameCorpusAgainstBothTransports) {
+TEST_F(RpcTest, MalformedFrameCorpusKeepsServerServing) {
   // Build one valid append frame, then replay mutated copies against the
-  // TCP server (raw sockets) and the sim server (raw bus sends). Neither
-  // may crash, and both must keep serving valid traffic afterwards.
+  // server over raw sockets. It may not crash, and must keep serving
+  // valid traffic afterwards.
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
   RpcRequest request;
   request.rpc_id = 1;
-  request.op = std::string(kOpAppend);
-  request.body = EncodeAppendBody(MakeBatch(publisher, seq, 4));
+  request.op = std::string(kOpAppendTenant);
+  request.body = EncodeTenantAppendBody(kTenant, MakeBatch(publisher, seq, 4));
   SignedEnvelope envelope =
       SignedEnvelope::Create(publisher, request.Encode());
-  const Bytes payload = envelope.Serialize();
-  const Bytes frame = EncodeFrame(payload);
+  const Bytes frame = EncodeFrame(envelope.Serialize());
 
   Rng rng(0xC0FFEE);
-  // TCP side: a few adversarial connections, several mutants each.
+  // A few adversarial connections, several mutants each.
   for (int conn = 0; conn < 8; ++conn) {
     int fd = DialLoopback(server_->port());
     ASSERT_GE(fd, 0);
@@ -319,32 +363,15 @@ TEST_F(RpcTest, MalformedFrameCorpusAgainstBothTransports) {
     ::close(fd);
   }
 
-  // Sim side: the same mutation schedule against the bus transport.
-  MessageBus bus(&deployment_->clock(), NetworkConfig{}, 99);
-  RemoteNodeServer sim_server(&deployment_->node(), *server_key_, &bus,
-                              "offchain-node");
-  for (int m = 0; m < 64; ++m) {
-    Bytes mutant = payload;
-    size_t flips = 1 + rng.Uniform(8);
-    for (size_t f = 0; f < flips; ++f) {
-      mutant[rng.Uniform(mutant.size())] ^= 1 << rng.Uniform(8);
-    }
-    bus.Send("adversary", "offchain-node", std::move(mutant));
-    deployment_->clock().Advance(10'000);
-    bus.DeliverDue();
-  }
-
-  // Both transports still serve valid traffic.
+  // The server still serves valid traffic.
   EXPECT_TRUE(server_->running());
   auto tcp_client = MakeClient();
-  auto responses = tcp_client->Append(MakeBatch(publisher, seq, 4));
+  auto responses =
+      tcp_client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   for (const auto& r : *responses) {
-    EXPECT_TRUE(r.Verify(deployment_->node().address()));
+    EXPECT_TRUE(r.Verify(engine_address()));
   }
-  RemoteNodeClient sim_client(publisher, &bus, &deployment_->clock(),
-                              "offchain-node", server_key_->address());
-  EXPECT_TRUE(sim_client.Append(MakeBatch(publisher, seq, 4)).ok());
   tcp_client->Close();
 }
 
@@ -372,7 +399,7 @@ TEST_F(RpcTest, OversizeAndGarbageFramesCloseTheConnection) {
   auto client = MakeClient();
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  EXPECT_TRUE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  EXPECT_TRUE(client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
   client->Close();
 }
 
@@ -412,20 +439,20 @@ TEST_F(RpcTest, ClientReconnectsAfterServerRestart) {
   ASSERT_TRUE(client.Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  ASSERT_TRUE(client.Append(MakeBatch(publisher, seq, 4)).ok());
+  ASSERT_TRUE(client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
 
   uint16_t port = server_->port();
   server_->Shutdown();
-  EXPECT_FALSE(client.ReadOne(EntryIndex{0, 0}).ok());
+  EXPECT_FALSE(client.ReadOneForTenant(kTenant, EntryIndex{0, 0}).ok());
 
   // Same node, same port: the client must redial with backoff and recover.
   RpcServerConfig server_config;
   server_config.port = port;
-  RpcServer revived(&deployment_->node(), *server_key_, server_config);
+  RpcServer revived(Handler(), *server_key_, server_config);
   ASSERT_TRUE(revived.Start().ok());
   bool recovered = false;
   for (int attempt = 0; attempt < 100 && !recovered; ++attempt) {
-    recovered = client.ReadOne(EntryIndex{0, 0}).ok();
+    recovered = client.ReadOneForTenant(kTenant, EntryIndex{0, 0}).ok();
     if (!recovered) ::usleep(50'000);
   }
   EXPECT_TRUE(recovered);
@@ -456,7 +483,7 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   {
     auto setup_client = MakeClient();
     ASSERT_TRUE(setup_client->Connect().ok());
-    ASSERT_TRUE(setup_client->Append(big).ok());
+    ASSERT_TRUE(setup_client->AppendForTenant(kTenant, big).ok());
     setup_client->Close();
   }
 
@@ -465,8 +492,8 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   for (int i = 0; i < kPipelined; ++i) {
     RpcRequest request;
     request.rpc_id = 100 + static_cast<uint64_t>(i);
-    request.op = std::string(kOpReadBatch);
-    request.body = EncodeReadBatchBody(0, offsets);
+    request.op = std::string(kOpReadBatchTenant);
+    request.body = EncodeTenantReadBatchBody(kTenant, 0, offsets);
     SignedEnvelope envelope =
         SignedEnvelope::Create(publisher, request.Encode());
     Bytes frame = EncodeFrame(envelope.Serialize());
@@ -515,13 +542,13 @@ TEST_F(RpcTest, DrainServesPipelinedRequestsAcrossHalfCloseAndRestart) {
   server_->Shutdown();
   RpcServerConfig server_config;
   server_config.port = port;
-  RpcServer revived(&deployment_->node(), *server_key_, server_config);
+  RpcServer revived(Handler(), *server_key_, server_config);
   ASSERT_TRUE(revived.Start().ok());
   auto client = MakeClient();
   bool recovered = false;
   for (int attempt = 0; attempt < 100 && !recovered; ++attempt) {
-    auto read = client->ReadOne(EntryIndex{0, 0});
-    recovered = read.ok() && read->Verify(deployment_->node().address());
+    auto read = client->ReadOneForTenant(kTenant, EntryIndex{0, 0});
+    recovered = read.ok() && read->Verify(engine_address());
     if (!recovered) ::usleep(50'000);
   }
   EXPECT_TRUE(recovered);
@@ -537,9 +564,158 @@ TEST_F(RpcTest, ShutdownIsIdempotentAndRefusesNewWork) {
   EXPECT_FALSE(server_->running());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  EXPECT_FALSE(client->Append(MakeBatch(publisher, seq, 4)).ok());
+  EXPECT_FALSE(client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
   client->Close();
   client->Close();  // Also idempotent.
+}
+
+TEST_F(RpcTest, SilentPeerTimesOutWithDeadlineExceeded) {
+  // A peer that takes the connection and never answers (the omission
+  // surface, §4.7): the call must end in kDeadlineExceeded, never hang
+  // and never be retried into a duplicate.
+  uint16_t port = 0;
+  int listener = ListenLoopback(&port);
+  ASSERT_GE(listener, 0);
+  TcpClientConfig config;
+  config.port = port;
+  config.rpc_timeout = 200 * kMicrosPerMilli;
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(client.Connect().ok());
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  auto result = client.AppendForTenant(kTenant, MakeBatch(publisher, seq, 4));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_EQ(client.retries(), 0u);
+  client.Close();
+  ::close(listener);
+}
+
+TEST_F(RpcTest, ReplyFromUnpinnedKeyIsDiscarded) {
+  // The client pins the transport address replies must be signed with. A
+  // well-formed reply signed by the real server key is, to a client that
+  // pinned another address, an impostor's reply: counted and dropped,
+  // never delivered.
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  {
+    auto seeder = MakeClient();
+    ASSERT_TRUE(
+        seeder->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+    seeder->Close();
+  }
+  TcpClientConfig config;
+  config.port = server_->port();
+  config.rpc_timeout = 300 * kMicrosPerMilli;
+  TcpNodeClient pinned(KeyPair::FromSeed(0xC11E),
+                       KeyPair::FromSeed(666).address(), config);
+  ASSERT_TRUE(pinned.Connect().ok());
+  auto result = pinned.ReadOneForTenant(kTenant, EntryIndex{0, 0});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kDeadlineExceeded);
+  EXPECT_EQ(pinned.discarded_responses(), 1u);
+  // The server did answer; only the client refused the signer.
+  EXPECT_EQ(server_->requests_served(), 2u);
+  pinned.Close();
+}
+
+TEST_F(RpcTest, UnknownRpcIdFromFakeServerIsDiscarded) {
+  // A raw-socket fake server answers a read with a maximally plausible
+  // stale reply — signed by the pinned key, carrying a decodable
+  // Stage1Response — under the wrong rpc_id, then with the genuine reply.
+  // The client must skip the stale one and hand the waiter the answer
+  // for the rpc_id it actually issued.
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  auto seeded = deployment_->engine().Append(kTenant,
+                                             MakeBatch(publisher, seq, 4));
+  ASSERT_TRUE(seeded.ok());
+  const Bytes stale_body = (*seeded)[0].Serialize();
+  const Bytes genuine_body = (*seeded)[1].Serialize();
+
+  uint16_t port = 0;
+  int listener = ListenLoopback(&port);
+  ASSERT_GE(listener, 0);
+  std::thread fake([&] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    auto frame = ReadOneFrame(fd);
+    if (frame.ok()) {
+      auto envelope = SignedEnvelope::Deserialize(*frame);
+      auto request = envelope.ok() ? RpcRequest::Decode(envelope->payload)
+                                   : Result<RpcRequest>(envelope.status());
+      if (request.ok()) {
+        Bytes wire = EncodeFrame(
+            SignedEnvelope::Create(*server_key_,
+                                   RpcResponse::Success(request->rpc_id + 1000,
+                                                        stale_body)
+                                       .Encode())
+                .Serialize());
+        Append(wire,
+               EncodeFrame(SignedEnvelope::Create(
+                               *server_key_,
+                               RpcResponse::Success(request->rpc_id,
+                                                    genuine_body)
+                                   .Encode())
+                               .Serialize()));
+        WriteAll(fd, wire);
+      }
+    }
+    // Hold the socket until the client hangs up.
+    uint8_t buf[64];
+    while (::read(fd, buf, sizeof(buf)) > 0) {
+    }
+    ::close(fd);
+  });
+
+  TcpClientConfig config;
+  config.port = port;
+  config.rpc_timeout = 2 * kMicrosPerSecond;
+  TcpNodeClient client(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(client.Connect().ok());
+  auto read = client.ReadOneForTenant(kTenant, (*seeded)[1].index);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->Serialize(), genuine_body);
+  EXPECT_EQ(read->index, (EntryIndex{0, 1}));  // Not the stale {0,0}.
+  EXPECT_EQ(client.discarded_responses(), 1u);
+  client.Close();
+  fake.join();
+  ::close(listener);
+}
+
+TEST_F(RpcTest, OversizeRequestFailsLocallyBeforeAnyByteIsWritten) {
+  uint16_t port = 0;
+  int listener = ListenLoopback(&port);
+  ASSERT_GE(listener, 0);
+  TcpClientConfig config;
+  config.port = port;
+  config.max_frame_bytes = 2048;
+  TcpNodeClient capped(KeyPair::FromSeed(0xC11E), server_key_->address(),
+                       config);
+  ASSERT_TRUE(capped.Connect().ok());
+  int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  std::vector<AppendRequest> batch;
+  batch.push_back(AppendRequest::Make(publisher, 0, ToBytes("k"),
+                                      Bytes(4096, 0x55)));  // Past the cap.
+  auto result = capped.AppendForTenant(kTenant, batch);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Code::kInvalidArgument);
+  EXPECT_EQ(capped.retries(), 0u);
+
+  // Nothing reached the peer: a short read times out with no data.
+  timeval tv{.tv_sec = 0, .tv_usec = 200'000};
+  setsockopt(peer, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  uint8_t buf[16];
+  EXPECT_LT(::read(peer, buf, sizeof(buf)), 0);
+  capped.Close();
+  ::close(peer);
+  ::close(listener);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // RpcServer serving DispatchEngineRpc over a live ShardedDeployment.
 // Pins down the multi-tenant wire contract — tenant-scoped routing, typed
 // quota rejections that leave the connection usable, aggregation-proof
-// fetch, and legacy single-node ops served as tenant 0.
+// fetch, and the tenant named in the slow-request log.
 //
 // Set WEDGE_SKIP_SOCKET_TESTS=1 to skip at runtime.
 
@@ -26,7 +26,8 @@ bool SocketTestsDisabled() {
 
 class ShardRpcTest : public ::testing::Test {
  protected:
-  void StartServer(uint32_t shards, TenantQuotaConfig quota = {}) {
+  void StartServer(uint32_t shards, TenantQuotaConfig quota = {},
+                   Micros slow_request_micros = 0) {
     ShardedDeploymentConfig config;
     config.engine.num_shards = shards;
     config.engine.node.batch_size = 4;
@@ -40,6 +41,10 @@ class ShardRpcTest : public ::testing::Test {
         KeyPair::FromSeed(config.engine_key_seed));
     ShardedLogEngine& engine = deployment_->engine();
     RpcServerConfig server_config;  // Ephemeral port.
+    server_config.slow_request_micros = slow_request_micros;
+    server_config.shard_for_tenant = [&engine](uint64_t tenant) {
+      return static_cast<int>(engine.ShardFor(tenant));
+    };
     server_ = std::make_unique<RpcServer>(
         RpcServer::Handler([&engine](std::string_view op, const Bytes& body) {
           return DispatchEngineRpc(engine, op, body);
@@ -174,22 +179,34 @@ TEST_F(ShardRpcTest, AggregationProofFetchVerifiesLocally) {
   EXPECT_EQ(agg->mroot, responses->front().proof.mroot);
 }
 
-TEST_F(ShardRpcTest, LegacyOpsServeTenantZero) {
-  StartServer(/*shards=*/2);
+TEST_F(ShardRpcTest, SlowRequestLogNamesTheTenantOfEveryOp) {
+  // Every op carries the tenant as the leading u64 of its body, so the
+  // slow-request line must name it for reads and proof fetches too, not
+  // only for appends.
+  StartServer(/*shards=*/2, {}, /*slow_request_micros=*/1);
   auto client = MakeClient();
   ASSERT_TRUE(client->Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-
-  // A pre-sharding client (plain Append/ReadOne) lands on tenant 0's
-  // shard; the tenant-scoped route sees exactly the same data.
-  auto responses = client->Append(MakeBatch(publisher, seq, 4));
+  TenantId tenant = 4242;
+  auto responses =
+      client->AppendForTenant(tenant, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-  auto via_legacy = client->ReadOne(responses->front().index);
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
-  auto via_tenant = client->ReadOneForTenant(0, responses->front().index);
-  ASSERT_TRUE(via_tenant.ok()) << via_tenant.status().ToString();
-  EXPECT_EQ(via_legacy->Serialize(), via_tenant->Serialize());
+
+  testing::internal::CaptureStderr();
+  auto proof = client->FetchAggregationProof(
+      tenant, responses->front().index.log_id);
+  EXPECT_FALSE(proof.ok());  // No epoch closed yet: typed NotFound.
+  // Shutdown joins the workers, so the log line is written by now.
+  server_->Shutdown();
+  std::string log = testing::internal::GetCapturedStderr();
+
+  std::string shard =
+      std::to_string(deployment_->engine().ShardFor(tenant));
+  EXPECT_NE(log.find("\"op\": \"aggProof\", \"tenant\": 4242, \"shard\": " +
+                     shard),
+            std::string::npos)
+      << log;
 }
 
 }  // namespace

@@ -113,37 +113,5 @@ TEST(MessageBusTest, OmissionAttackDropsMessages) {
   EXPECT_EQ(count, 0);
 }
 
-TEST(SignedEnvelopeTest, CreateAndVerify) {
-  KeyPair key = KeyPair::FromSeed(42);
-  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
-  EXPECT_EQ(env.sender, key.address());
-  EXPECT_TRUE(env.Verify());
-}
-
-TEST(SignedEnvelopeTest, TamperedPayloadFails) {
-  KeyPair key = KeyPair::FromSeed(42);
-  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
-  env.payload[0] ^= 0xFF;
-  EXPECT_FALSE(env.Verify());
-}
-
-TEST(SignedEnvelopeTest, SpoofedSenderFails) {
-  KeyPair key = KeyPair::FromSeed(42);
-  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
-  env.sender = KeyPair::FromSeed(43).address();
-  EXPECT_FALSE(env.Verify());
-}
-
-TEST(SignedEnvelopeTest, SerializationRoundTrip) {
-  KeyPair key = KeyPair::FromSeed(7);
-  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("wire me"));
-  auto back = SignedEnvelope::Deserialize(env.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->sender, env.sender);
-  EXPECT_EQ(back->payload, env.payload);
-  EXPECT_TRUE(back->Verify());
-  EXPECT_FALSE(SignedEnvelope::Deserialize(Bytes(10, 0)).ok());
-}
-
 }  // namespace
 }  // namespace wedge

@@ -13,10 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/wedgeblock.h"
 #include "net/wire.h"
 #include "rpc/rpc_server.h"
 #include "rpc/tcp_client.h"
+#include "shard/shard_rpc.h"
+#include "shard/sharded_engine.h"
 #include "telemetry/tracer.h"
 
 namespace wedge {
@@ -30,7 +31,7 @@ bool SocketTestsDisabled() {
 RpcRequest MakeRequest() {
   RpcRequest req;
   req.rpc_id = 7;
-  req.op = "append";
+  req.op = "appendT";
   req.body = ToBytes("payload");
   return req;
 }
@@ -56,7 +57,7 @@ TEST(TraceWireTest, LegacyFrameDecodesUntraced) {
   auto decoded = RpcRequest::Decode(LegacyEncoding(req));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->rpc_id, 7u);
-  EXPECT_EQ(decoded->op, "append");
+  EXPECT_EQ(decoded->op, "appendT");
   EXPECT_EQ(decoded->trace_id, 0u);
   EXPECT_TRUE(decoded->origin.empty());
 }
@@ -69,7 +70,7 @@ TEST(TraceWireTest, TraceExtensionRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->trace_id, 0xDEADBEEF01ULL);
   EXPECT_EQ(decoded->origin, "loadgen");
-  EXPECT_EQ(decoded->op, "append");
+  EXPECT_EQ(decoded->op, "appendT");
   EXPECT_EQ(decoded->body, ToBytes("payload"));
 }
 
@@ -130,18 +131,23 @@ class TracePropagationTest : public ::testing::Test {
     if (SocketTestsDisabled()) {
       GTEST_SKIP() << "WEDGE_SKIP_SOCKET_TESTS=1";
     }
-    DeploymentConfig config;
-    config.node.batch_size = 4;
-    config.node.worker_threads = 1;
-    auto d = Deployment::Create(config);
+    // One shard in per-batch stage-2 mode: wedgeblockd's default.
+    ShardedDeploymentConfig config;
+    config.engine.node.batch_size = 4;
+    config.engine.node.worker_threads = 1;
+    config.engine.forest_stage2 = false;
+    auto d = ShardedDeployment::Create(config);
     ASSERT_TRUE(d.ok()) << d.status().ToString();
     deployment_ = std::move(d).value();
     server_key_ = std::make_unique<KeyPair>(
-        KeyPair::FromSeed(config.offchain_key_seed));
+        KeyPair::FromSeed(config.engine_key_seed));
+    ShardedLogEngine* engine = &deployment_->engine();
     RpcServerConfig server_config;  // Ephemeral port.
-    server_ = std::make_unique<RpcServer>(&deployment_->node(), *server_key_,
-                                          server_config,
-                                          &deployment_->telemetry());
+    server_ = std::make_unique<RpcServer>(
+        [engine](std::string_view op, const Bytes& body) {
+          return DispatchEngineRpc(*engine, op, body);
+        },
+        *server_key_, server_config, &deployment_->telemetry());
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -160,7 +166,7 @@ class TracePropagationTest : public ::testing::Test {
     return out;
   }
 
-  std::unique_ptr<Deployment> deployment_;
+  std::unique_ptr<ShardedDeployment> deployment_;
   std::unique_ptr<KeyPair> server_key_;
   std::unique_ptr<RpcServer> server_;
 };
@@ -179,11 +185,11 @@ TEST_F(TracePropagationTest, TraceIdCrossesTheWireIntoServerSpans) {
   constexpr uint64_t kTraceId = 0xAB54A98CEB1F0AD2ULL;
   {
     ScopedTrace scope(kTraceId, "trace-test");
-    auto responses = client.Append(MakeBatch(publisher, seq, 4));
+    auto responses = client.AppendForTenant(0, MakeBatch(publisher, seq, 4));
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   }
   // A second, untraced call: its server spans must NOT carry the id.
-  auto untraced = client.Append(MakeBatch(publisher, seq, 4));
+  auto untraced = client.AppendForTenant(0, MakeBatch(publisher, seq, 4));
   ASSERT_TRUE(untraced.ok());
   client.Close();
 
@@ -207,12 +213,12 @@ TEST_F(TracePropagationTest, TraceIdCrossesTheWireIntoServerSpans) {
   // Per-op latency histograms materialized on both ends of the wire.
   MetricsSnapshot server_snap = deployment_->telemetry().metrics.Snapshot();
   const HistogramSnapshot* server_op =
-      server_snap.FindHistogram("wedge.rpc.op_us{op=append}");
+      server_snap.FindHistogram("wedge.rpc.op_us{op=appendT}");
   ASSERT_NE(server_op, nullptr);
   EXPECT_EQ(server_op->count, 2u);
   MetricsSnapshot client_snap = client_telemetry.metrics.Snapshot();
   const HistogramSnapshot* client_op =
-      client_snap.FindHistogram("wedge.client.rpc_us{op=append}");
+      client_snap.FindHistogram("wedge.client.rpc_us{op=appendT}");
   ASSERT_NE(client_op, nullptr);
   EXPECT_EQ(client_op->count, 2u);
 }
@@ -225,7 +231,7 @@ TEST_F(TracePropagationTest, ClientWithoutTelemetryStaysQuiet) {
   ASSERT_TRUE(client.Connect().ok());
   KeyPair publisher = KeyPair::FromSeed(0xC11E);
   uint64_t seq = 0;
-  ASSERT_TRUE(client.Append(MakeBatch(publisher, seq, 4)).ok());
+  ASSERT_TRUE(client.AppendForTenant(0, MakeBatch(publisher, seq, 4)).ok());
   client.Close();
   // The server still serves and records; the client just has nowhere to
   // record — this must not crash or allocate a registry behind our back.

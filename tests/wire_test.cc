@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/rpc_codec.h"
+#include "crypto/sha256.h"
 
 namespace wedge {
 namespace {
@@ -263,6 +265,68 @@ TEST(RpcCodecTest, MutatedFrameCorpus) {
       (void)RpcRequest::Decode(out);  // Must not crash on mutated payloads.
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Signed envelopes.
+
+TEST(SignedEnvelopeTest, CreateAndVerify) {
+  KeyPair key = KeyPair::FromSeed(42);
+  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
+  EXPECT_EQ(env.sender, key.address());
+  EXPECT_TRUE(env.Verify());
+}
+
+TEST(SignedEnvelopeTest, TamperedPayloadFails) {
+  KeyPair key = KeyPair::FromSeed(42);
+  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
+  env.payload[0] ^= 0xFF;
+  EXPECT_FALSE(env.Verify());
+}
+
+TEST(SignedEnvelopeTest, SpoofedSenderFails) {
+  KeyPair key = KeyPair::FromSeed(42);
+  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("payload"));
+  env.sender = KeyPair::FromSeed(43).address();
+  EXPECT_FALSE(env.Verify());
+}
+
+TEST(SignedEnvelopeTest, SerializationRoundTrip) {
+  KeyPair key = KeyPair::FromSeed(7);
+  SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("wire me"));
+  auto back = SignedEnvelope::Deserialize(env.Serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->sender, env.sender);
+  EXPECT_EQ(back->payload, env.payload);
+  EXPECT_TRUE(back->Verify());
+  EXPECT_FALSE(SignedEnvelope::Deserialize(Bytes(10, 0)).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Op bodies (core/rpc_codec.h).
+
+TEST(OpBodyTest, TenantBodiesArePinned) {
+  // Each encoder writes the tenant prefix and the op body into one
+  // buffer; the bytes must stay exactly what deployed clients send.
+  KeyPair publisher = KeyPair::FromSeed(0x5EED);
+  std::vector<AppendRequest> requests;
+  for (int i = 0; i < 3; ++i) {
+    requests.push_back(AppendRequest::Make(
+        publisher, 40 + i, ToBytes("key-" + std::to_string(i)),
+        ToBytes("value-" + std::to_string(i))));
+  }
+  const TenantId tenant = 0x0102030405060708ULL;
+
+  Bytes append = EncodeTenantAppendBody(tenant, requests);
+  EXPECT_EQ(append.size(), 363u);
+  EXPECT_EQ(HashToHex(Sha256::Digest(append)),
+            "0cd37b4b89ab1550d457ef7acc088f5d3149353ee87a2e7034e4442fcaede078");
+  EXPECT_EQ(HexEncode(EncodeTenantReadBody(tenant, EntryIndex{7, 3})),
+            "0102030405060708000000000000000700000003");
+  EXPECT_EQ(HexEncode(EncodeTenantReadBatchBody(tenant, 9, {0, 2, 5})),
+            "0102030405060708000000000000000900000003000000000000000200000005");
+  EXPECT_EQ(HexEncode(EncodeAggProofBody(tenant, 11)),
+            "0102030405060708000000000000000b");
 }
 
 }  // namespace

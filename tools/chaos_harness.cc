@@ -24,6 +24,88 @@ Status MakeDir(const std::string& path) {
 
 }  // namespace
 
+Result<DaemonProcess> SpawnDaemon(const std::vector<std::string>& args,
+                                  Micros timeout) {
+  int fds[2];
+  if (pipe(fds) != 0) return Status::Internal("pipe failed");
+  pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return Status::Internal("fork failed");
+  }
+  if (pid == 0) {
+    // Child: stdout -> pipe, then exec the daemon.
+    dup2(fds[1], STDOUT_FILENO);
+    close(fds[0]);
+    close(fds[1]);
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+    execv(argv[0], argv.data());
+    _exit(127);  // exec failed.
+  }
+  close(fds[1]);
+  DaemonProcess daemon;
+  daemon.pid = pid;
+  daemon.out_fd = fds[0];
+
+  // Scrape "LISTENING <port>" (printed after recovery, before serving)
+  // and "ADMIN <port>" (printed right after it).
+  std::string& scraped = daemon.startup_output;
+  Micros deadline = RealClock::Global()->NowMicros() + timeout;
+  while (true) {
+    size_t at = scraped.find("LISTENING ");
+    size_t admin_at = scraped.find("ADMIN ");
+    if (at != std::string::npos && admin_at != std::string::npos) {
+      size_t eol = scraped.find('\n', at);
+      size_t admin_eol = scraped.find('\n', admin_at);
+      if (eol != std::string::npos && admin_eol != std::string::npos) {
+        long port = std::strtol(scraped.c_str() + at + 10, nullptr, 10);
+        long admin = std::strtol(scraped.c_str() + admin_at + 6, nullptr, 10);
+        if (port <= 0 || port > 65535 || admin <= 0 || admin > 65535) {
+          StopDaemon(daemon, SIGKILL);
+          return Status::Internal("daemon printed a bad port");
+        }
+        daemon.port = static_cast<uint16_t>(port);
+        daemon.admin_port = static_cast<uint16_t>(admin);
+        return daemon;
+      }
+    }
+    Micros now = RealClock::Global()->NowMicros();
+    if (now >= deadline) {
+      StopDaemon(daemon, SIGKILL);
+      return Status::Timeout("daemon never printed LISTENING");
+    }
+    pollfd pfd{daemon.out_fd, POLLIN, 0};
+    int timeout_ms = static_cast<int>((deadline - now) / kMicrosPerMilli);
+    if (poll(&pfd, 1, std::max(timeout_ms, 1)) <= 0) continue;
+    char buf[512];
+    ssize_t n = read(daemon.out_fd, buf, sizeof(buf));
+    if (n <= 0) {
+      // Daemon died before listening (port clash, bad flag, ...).
+      StopDaemon(daemon, SIGKILL);
+      return Status::Unavailable("daemon exited during startup: " + scraped);
+    }
+    scraped.append(buf, static_cast<size_t>(n));
+  }
+}
+
+void StopDaemon(DaemonProcess& daemon, int sig) {
+  if (daemon.pid > 0) {
+    kill(daemon.pid, sig);
+    int status = 0;
+    waitpid(daemon.pid, &status, 0);
+  }
+  daemon.pid = -1;
+  daemon.admin_port = 0;
+  if (daemon.out_fd >= 0) {
+    close(daemon.out_fd);
+    daemon.out_fd = -1;
+  }
+}
+
 ChaosFleet::ChaosFleet(ChaosFleetOptions options)
     : options_(std::move(options)),
       // Every process signs with the deployment's default engine key, so
@@ -39,7 +121,7 @@ ChaosFleet::ChaosFleet(ChaosFleetOptions options)
 
 ChaosFleet::~ChaosFleet() {
   for (uint32_t i = 0; i < size(); ++i) {
-    if (procs_[i].pid > 0) (void)Kill(i, SIGKILL);
+    if (procs_[i].daemon.pid > 0) (void)Kill(i, SIGKILL);
   }
 }
 
@@ -54,17 +136,15 @@ Status ChaosFleet::StartAll() {
 
 Status ChaosFleet::Start(uint32_t i, bool recover) {
   if (i >= size()) return Status::InvalidArgument("no such process");
-  if (procs_[i].pid > 0) return Status::FailedPrecondition("already running");
+  if (procs_[i].daemon.pid > 0) {
+    return Status::FailedPrecondition("already running");
+  }
   return Spawn(procs_[i], recover);
 }
 
 Status ChaosFleet::Spawn(Proc& proc, bool recover) {
-  int fds[2];
-  if (pipe(fds) != 0) return Status::Internal("pipe failed");
-
   std::vector<std::string> args = {
       options_.daemon_binary,
-      "--shards", "1",
       "--forest",
       "--log-dir", proc.log_dir,
       "--batch", std::to_string(options_.batch),
@@ -73,7 +153,7 @@ Status ChaosFleet::Spawn(Proc& proc, bool recover) {
       "--node-threads", "1",
       "--workers", "1",
       // A restart must land on the port clients already dialed.
-      "--port", std::to_string(proc.port),
+      "--port", std::to_string(proc.daemon.port),
       // Observability endpoint on an ephemeral port (scraped below);
       // a restart may land anywhere, fleetmon re-resolves per round.
       "--admin-port", "0",
@@ -87,110 +167,37 @@ Status ChaosFleet::Spawn(Proc& proc, bool recover) {
   }
   if (options_.fsync) args.push_back("--fsync");
   if (recover) args.push_back("--recover");
-
-  pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    return Status::Internal("fork failed");
-  }
-  if (pid == 0) {
-    // Child: stdout -> pipe, then exec the daemon.
-    dup2(fds[1], STDOUT_FILENO);
-    close(fds[0]);
-    close(fds[1]);
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(127);  // exec failed.
-  }
-  close(fds[1]);
-  proc.pid = pid;
-  proc.out_fd = fds[0];
-
-  // Scrape "LISTENING <port>" (printed after recovery, before serving)
-  // and "ADMIN <port>" (printed right after it — the daemon is spawned
-  // with --admin-port 0, so the observability port is ephemeral).
-  std::string scraped;
-  proc.admin_port = 0;
-  Micros deadline = RealClock::Global()->NowMicros() + options_.spawn_timeout;
-  while (true) {
-    size_t at = scraped.find("LISTENING ");
-    size_t admin_at = scraped.find("ADMIN ");
-    if (at != std::string::npos && admin_at != std::string::npos) {
-      size_t eol = scraped.find('\n', at);
-      size_t admin_eol = scraped.find('\n', admin_at);
-      if (eol != std::string::npos && admin_eol != std::string::npos) {
-        long port = std::strtol(scraped.c_str() + at + 10, nullptr, 10);
-        long admin = std::strtol(scraped.c_str() + admin_at + 6, nullptr, 10);
-        if (port <= 0 || port > 65535 || admin <= 0 || admin > 65535) {
-          (void)Kill(static_cast<uint32_t>(&proc - procs_.data()), SIGKILL);
-          return Status::Internal("daemon printed a bad port");
-        }
-        proc.port = static_cast<uint16_t>(port);
-        proc.admin_port = static_cast<uint16_t>(admin);
-        return Status::Ok();
-      }
-    }
-    Micros now = RealClock::Global()->NowMicros();
-    if (now >= deadline) {
-      (void)Kill(static_cast<uint32_t>(&proc - procs_.data()), SIGKILL);
-      return Status::Timeout("daemon never printed LISTENING");
-    }
-    pollfd pfd{proc.out_fd, POLLIN, 0};
-    int timeout_ms = static_cast<int>((deadline - now) / kMicrosPerMilli);
-    if (poll(&pfd, 1, std::max(timeout_ms, 1)) <= 0) continue;
-    char buf[512];
-    ssize_t n = read(proc.out_fd, buf, sizeof(buf));
-    if (n <= 0) {
-      // Daemon died before listening (port clash, bad flag, ...).
-      int status = 0;
-      waitpid(proc.pid, &status, 0);
-      proc.pid = -1;
-      close(proc.out_fd);
-      proc.out_fd = -1;
-      return Status::Unavailable("daemon exited during startup: " + scraped);
-    }
-    scraped.append(buf, static_cast<size_t>(n));
-  }
+  WEDGE_ASSIGN_OR_RETURN(proc.daemon,
+                         SpawnDaemon(args, options_.spawn_timeout));
+  return Status::Ok();
 }
 
 Status ChaosFleet::Kill(uint32_t i, int sig) {
   if (i >= size()) return Status::InvalidArgument("no such process");
   Proc& proc = procs_[i];
-  if (proc.pid <= 0) return Status::FailedPrecondition("not running");
-  kill(proc.pid, sig);
-  int status = 0;
-  waitpid(proc.pid, &status, 0);
-  proc.pid = -1;
-  proc.admin_port = 0;
-  if (proc.out_fd >= 0) {
-    close(proc.out_fd);
-    proc.out_fd = -1;
-  }
+  if (proc.daemon.pid <= 0) return Status::FailedPrecondition("not running");
+  StopDaemon(proc.daemon, sig);
   return Status::Ok();
 }
 
 bool ChaosFleet::Alive(uint32_t i) {
-  if (i >= size() || procs_[i].pid <= 0) return false;
+  if (i >= size() || procs_[i].daemon.pid <= 0) return false;
   int status = 0;
-  pid_t r = waitpid(procs_[i].pid, &status, WNOHANG);
+  pid_t r = waitpid(procs_[i].daemon.pid, &status, WNOHANG);
   if (r == 0) return true;
-  procs_[i].pid = -1;  // Reaped: it died behind our back.
+  procs_[i].daemon.pid = -1;  // Reaped: it died behind our back.
   return false;
 }
 
 std::string ChaosFleet::EndpointKey(uint32_t i) const {
-  return "127.0.0.1:" + std::to_string(procs_[i].port);
+  return "127.0.0.1:" + std::to_string(procs_[i].daemon.port);
 }
 
 std::vector<FleetEndpoint> ChaosFleet::Endpoints() const {
   std::vector<FleetEndpoint> out;
   out.reserve(procs_.size());
   for (const Proc& proc : procs_) {
-    out.push_back(FleetEndpoint{"127.0.0.1", proc.port});
+    out.push_back(FleetEndpoint{"127.0.0.1", proc.daemon.port});
   }
   return out;
 }
@@ -204,8 +211,8 @@ Status ChaosFleet::DumpFleetSnapshot(const std::string& path) {
   for (uint32_t i = 0; i < size(); ++i) {
     bool up = false;
     std::string body;
-    if (Alive(i) && procs_[i].admin_port != 0) {
-      auto resp = HttpGet("127.0.0.1", procs_[i].admin_port, "/metrics.json",
+    if (Alive(i) && admin_port(i) != 0) {
+      auto resp = HttpGet("127.0.0.1", admin_port(i), "/metrics.json",
                           3 * kMicrosPerSecond);
       if (resp.ok() && resp->status == 200) {
         up = true;
@@ -215,7 +222,7 @@ Status ChaosFleet::DumpFleetSnapshot(const std::string& path) {
     std::fprintf(f,
                  "{\"kind\": \"scrape_target\", \"proc\": %u, \"port\": %u, "
                  "\"admin_port\": %u, \"up\": %s}\n",
-                 i, procs_[i].port, procs_[i].admin_port,
+                 i, port(i), admin_port(i),
                  up ? "true" : "false");
     if (up) {
       std::fwrite(body.data(), 1, body.size(), f);

@@ -1,6 +1,8 @@
 #ifndef WEDGEBLOCK_TOOLS_CHAOS_HARNESS_H_
 #define WEDGEBLOCK_TOOLS_CHAOS_HARNESS_H_
 
+#include <sys/types.h>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,8 +14,29 @@
 
 namespace wedge {
 
+/// One spawned `wedgeblockd` process.
+struct DaemonProcess {
+  pid_t pid = -1;
+  int out_fd = -1;          ///< Read end of the child's stdout pipe.
+  uint16_t port = 0;        ///< Scraped from "LISTENING <port>".
+  uint16_t admin_port = 0;  ///< Scraped from "ADMIN <port>".
+  /// Stdout up to both lines (e.g. the "RECOVERED ..." line a --recover
+  /// start prints before it listens).
+  std::string startup_output;
+};
+
+/// Forks and execs `args` (args[0] is the daemon binary; the args must
+/// include `--admin-port`), then waits up to `timeout` for the daemon to
+/// print "LISTENING <port>" and "ADMIN <port>". A daemon that exits or
+/// times out first is killed and reaped, and the call fails.
+Result<DaemonProcess> SpawnDaemon(const std::vector<std::string>& args,
+                                  Micros timeout);
+/// Sends `sig` (SIGKILL = crash, SIGTERM = graceful drain), reaps the
+/// process and closes its pipe. Keeps `port`, so a restart can reuse it.
+void StopDaemon(DaemonProcess& daemon, int sig);
+
 /// A chaos fleet: N `wedgeblockd` shard processes, each a single-shard
-/// forest-mode engine (`--shards 1 --forest --log-dir ...`) over real TCP.
+/// forest-mode engine (`--forest --log-dir ...`) over real TCP.
 /// Together they form the PR-5 sharded topology split across OS
 /// processes: tenants map to processes via the client-side
 /// consistent-hash ring (FleetRouter), stage 2 runs through each
@@ -58,11 +81,13 @@ class ChaosFleet {
   Status Kill(uint32_t i, int sig);
   bool Alive(uint32_t i);
 
-  uint16_t port(uint32_t i) const { return procs_[i].port; }
+  uint16_t port(uint32_t i) const { return procs_[i].daemon.port; }
   /// Ephemeral admin (observability) port of process `i` — every daemon
   /// is spawned with `--admin-port 0` and the scraped port is refreshed
   /// on each (re)start. 0 while the process is down.
-  uint16_t admin_port(uint32_t i) const { return procs_[i].admin_port; }
+  uint16_t admin_port(uint32_t i) const {
+    return procs_[i].daemon.admin_port;
+  }
   /// "host:port", the key FaultyTransport partitions are scoped by.
   std::string EndpointKey(uint32_t i) const;
   std::vector<FleetEndpoint> Endpoints() const;
@@ -79,11 +104,10 @@ class ChaosFleet {
 
  private:
   struct Proc {
-    pid_t pid = -1;
-    uint16_t port = 0;  ///< 0 until first scrape; stable afterwards.
-    uint16_t admin_port = 0;  ///< Ephemeral; rescraped on every spawn.
+    /// `daemon.port` is 0 until the first scrape and stable afterwards;
+    /// the admin port is ephemeral and rescraped on every spawn.
+    DaemonProcess daemon;
     std::string log_dir;
-    int out_fd = -1;  ///< Read end of the child's stdout pipe.
   };
 
   Status Spawn(Proc& proc, bool recover);

@@ -1,10 +1,11 @@
 // wedgeblockd — the WedgeBlock Offchain Node as a network daemon.
 //
-// Stands up a full deployment (simulated chain + contracts + Offchain
-// Node) and serves the stage-1 append/read RPC surface over real TCP via
-// rpc/RpcServer, the way the paper ran it across machines (§5). Clients
-// connect with rpc/TcpNodeClient (see bench/loadgen and
-// examples/remote_quickstart).
+// Stands up a full deployment (simulated chain + contracts + a sharded
+// log engine) and serves the tenant-scoped append/read RPC surface over
+// real TCP via rpc/RpcServer, the way the paper ran it across machines
+// (§5). By default the engine has one shard in the paper's per-batch
+// stage-2 mode. Clients connect with rpc/TcpNodeClient (see
+// bench/loadgen and examples/remote_quickstart).
 //
 // Usage:
 //   wedgeblockd [--port N] [--bind ADDR] [--workers N] [--batch N]
@@ -24,14 +25,14 @@
 //   registry (wedge.rpc.* + wedge.node.* + chain metrics) is dumped to
 //   --telemetry-out when given.
 //
-//   --shards N runs the sharded multi-tenant engine (shard/) instead of
-//   a bare OffchainNode: N shards behind the consistent-hash tenant
-//   router, per-tenant admission quotas, and — for N > 1 — one epoch
-//   forest root on chain per --epoch-blocks blocks instead of a stage-2
-//   tx stream per shard. Shard clients use the tenant-scoped ops
-//   (TcpNodeClient::AppendForTenant et al.); the legacy ops keep working
-//   as tenant 0. --tenants caps the number of distinct tenants admitted
-//   (0 = unlimited); --tenant-rate/--tenant-burst/--tenant-inflight set
+//   --shards N (default 1) sets the engine's shard count (shard/): N
+//   shards behind the consistent-hash tenant router, per-tenant
+//   admission quotas, and — for N > 1 — one epoch forest root on chain
+//   per --epoch-blocks blocks instead of a stage-2 tx stream per batch.
+//   Clients use the tenant-scoped ops (TcpNodeClient::AppendForTenant et
+//   al.); a 1-shard engine serves every tenant id. --tenants caps the
+//   number of distinct tenants admitted (0 = unlimited);
+//   --tenant-rate/--tenant-burst/--tenant-inflight set
 //   the per-tenant token-bucket append quota (0 = unlimited). Quota
 //   rejections surface to clients as typed ResourceExhausted errors.
 //   --tenant-auth requires every append's tenant id to match the id
@@ -40,8 +41,8 @@
 //   and quotas assume cooperative clients. Incompatible with
 //   --no-verify-sigs.
 //
-//   Crash-resilience flags (sharded mode; see DESIGN.md "Sharded failure
-//   model & recovery"):
+//   Crash-resilience flags (see DESIGN.md "Sharded failure model &
+//   recovery"):
 //   --forest forces the epoch forest-root pipeline even at --shards 1,
 //   so a fleet of single-shard processes (tools/chaos) gets the same
 //   journal + recovery machinery a multi-shard engine does.
@@ -56,7 +57,9 @@
 //   --fsync makes acks durable: per-record fsync on the file backend,
 //   coalesced group commit (one fdatasync per batch window) on segment.
 //   --recover replays the journal, reconciles shard tails and the chain,
-//   and resubmits unconfirmed epochs before serving; the daemon prints
+//   and resubmits unconfirmed epochs before serving (without the forest
+//   pipeline it re-journals every sealed position the chain has not
+//   recorded for the per-batch stage-2 stream); the daemon prints
 //   "RECOVERED journaled=N restaged=N closed=N resubmitted=N confirmed=N"
 //   for scripts to scrape. Recovery on a fresh --log-dir is a no-op, so
 //   restart scripts can pass it unconditionally.
@@ -70,7 +73,6 @@
 #include <cstring>
 #include <string>
 
-#include "core/wedgeblock.h"
 #include "rpc/admin_http.h"
 #include "rpc/rpc_server.h"
 #include "shard/shard_rpc.h"
@@ -95,8 +97,7 @@ struct Options {
   int64_t mine_ms = 200;
   int64_t duration_s = 0;
   std::string telemetry_out;
-  /// 0 = classic single-node daemon; >= 1 = sharded engine.
-  uint32_t shards = 0;
+  uint32_t shards = 1;
   uint64_t tenants = 0;          ///< Max distinct tenants (0 = unlimited).
   uint32_t epoch_blocks = 4;     ///< Blocks per aggregation epoch.
   uint64_t tenant_rate = 0;      ///< Entries/second per tenant (0 = off).
@@ -282,14 +283,14 @@ void ServeLoop(const Options& opts, AdvanceFn advance) {
   }
 }
 
-int RunSharded(const Options& opts) {
+int Run(const Options& opts) {
   ShardedDeploymentConfig config;
   config.engine.num_shards = opts.shards;
   config.engine.node.batch_size = opts.batch;
   config.engine.node.worker_threads = opts.node_threads;
   config.engine.node.verify_client_signatures = opts.verify_sigs;
   config.engine.epoch_ticks = opts.epoch_blocks;
-  // A single shard keeps the classic per-batch stage-2 stream (the
+  // A single shard keeps the paper's per-batch stage-2 stream (the
   // degenerate configuration, byte-identical to the bare node); two or
   // more shards aggregate into one forest root per epoch. --forest opts
   // a single-shard process into the forest pipeline anyway, which is how
@@ -308,7 +309,7 @@ int RunSharded(const Options& opts) {
   config.log_fsync = opts.fsync;
   auto deployment = ShardedDeployment::Create(config);
   if (!deployment.ok()) {
-    std::fprintf(stderr, "sharded deployment failed: %s\n",
+    std::fprintf(stderr, "deployment failed: %s\n",
                  deployment.status().ToString().c_str());
     return 1;
   }
@@ -420,71 +421,6 @@ int RunSharded(const Options& opts) {
   return 0;
 }
 
-int Run(const Options& opts) {
-  DeploymentConfig config;
-  config.node.batch_size = opts.batch;
-  config.node.worker_threads = opts.node_threads;
-  config.node.verify_client_signatures = opts.verify_sigs;
-  auto deployment = Deployment::Create(config);
-  if (!deployment.ok()) {
-    std::fprintf(stderr, "deployment failed: %s\n",
-                 deployment.status().ToString().c_str());
-    return 1;
-  }
-  Deployment& d = **deployment;
-
-  RpcServerConfig server_config;
-  server_config.bind_address = opts.bind;
-  server_config.port = opts.port;
-  server_config.num_workers = opts.workers;
-  server_config.max_frame_bytes = opts.max_frame_mb << 20;
-  server_config.slow_request_micros = opts.slow_request_ms * kMicrosPerMilli;
-  // The classic daemon serves one node: every tenant maps to shard 0.
-  server_config.shard_for_tenant = [](uint64_t) { return 0; };
-  // The daemon signs transport replies with the node's own operator key,
-  // so clients can pin one address for both proofs and transport.
-  KeyPair transport_key = KeyPair::FromSeed(config.offchain_key_seed);
-  RpcServer server(&d.node(), transport_key, server_config, &d.telemetry());
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "server start failed: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
-  std::printf("LISTENING %u\n", server.port());
-  std::printf("node address %s, batch %u, %d rpc workers\n",
-              d.node().address().ToHex().c_str(), opts.batch, opts.workers);
-  std::fflush(stdout);
-
-  auto health = [&server, &d]() {
-    AdminHealth h;
-    h.ready = server.running();
-    h.detail = "{\"listening\": " +
-               std::string(server.running() ? "true" : "false") +
-               ", \"positions\": " + std::to_string(d.node().LogPositions()) +
-               "}";
-    return h;
-  };
-  std::unique_ptr<AdminHttpServer> admin =
-      StartAdmin(opts, &d.telemetry(), health);
-
-  ServeLoop(opts, [&d] { d.AdvanceBlocks(1); });
-  if (admin != nullptr) admin->Shutdown();
-
-  std::printf("shutting down (served %llu requests)\n",
-              static_cast<unsigned long long>(server.requests_served()));
-  server.Shutdown();
-  if (!opts.telemetry_out.empty()) {
-    Status s = WriteTelemetryFile(opts.telemetry_out, d.telemetry(),
-                                  /*append=*/false);
-    if (!s.ok()) {
-      std::fprintf(stderr, "telemetry write failed: %s\n",
-                   s.ToString().c_str());
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace wedge
 
@@ -494,5 +430,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", opts.status().ToString().c_str());
     return wedge::Usage(argv[0]);
   }
-  return opts->shards > 0 ? wedge::RunSharded(*opts) : wedge::Run(*opts);
+  return wedge::Run(*opts);
 }
