@@ -85,6 +85,22 @@ void BM_EcdsaRecover(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaRecover);
 
+// The known-signer check with the signer's table already cached (two
+// untimed checks promote it): the hot-path replacement for
+// RecoverSigner(h, sig) == address.
+void BM_EcdsaVerifySigner(benchmark::State& state) {
+  KeyPair kp = KeyPair::FromSeed(1);
+  Hash256 h = Sha256::Digest("message");
+  EcdsaSignature sig = EcdsaSign(kp.private_key(), h);
+  for (int i = 0; i < kSignerPromoteAfter; ++i) {
+    VerifySigner(kp.address(), h, sig);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(VerifySigner(kp.address(), h, sig));
+  }
+}
+BENCHMARK(BM_EcdsaVerifySigner);
+
 // A full sealing batch of signatures through the batched-inversion path;
 // per-signature cost is this divided by the arg — compare against
 // BM_EcdsaSign to see the amortization win.

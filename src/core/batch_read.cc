@@ -18,7 +18,7 @@ Hash256 BatchReadResponse::SignedHash() const {
 
 bool BatchReadResponse::Verify(const Address& offchain_address) const {
   if (entries.empty()) return false;
-  if (RecoverSigner(SignedHash(), offchain_signature) != offchain_address) {
+  if (!VerifySigner(offchain_address, SignedHash(), offchain_signature)) {
     return false;
   }
   return VerifyMultiProof(entries, proof, mroot);

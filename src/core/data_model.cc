@@ -27,10 +27,9 @@ Bytes AppendRequest::SignedPayload() const {
 }
 
 bool AppendRequest::VerifySignature() const {
-  // RecoverSigner returns the zero address on failure, so a request that
-  // *claims* the zero address must never pass.
-  if (publisher.IsZero()) return false;
-  return RecoverSigner(Sha256::Digest(SignedPayload()), signature) == publisher;
+  // VerifySigner rejects the zero address, the one RecoverSigner returns
+  // on failure, so a request that *claims* it never passes.
+  return VerifySigner(publisher, Sha256::Digest(SignedPayload()), signature);
 }
 
 Bytes AppendRequest::Serialize() const {
@@ -67,7 +66,7 @@ Hash256 Stage1Response::SignedHash() const {
 bool Stage1Response::Verify(const Address& offchain_address) const {
   if (index.log_id != proof.log_id) return false;
   if (index.offset != proof.merkle_proof.leaf_index) return false;
-  if (RecoverSigner(SignedHash(), offchain_signature) != offchain_address) {
+  if (!VerifySigner(offchain_address, SignedHash(), offchain_signature)) {
     return false;
   }
   return VerifyMerkleProof(entry, proof.merkle_proof, proof.mroot);

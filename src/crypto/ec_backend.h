@@ -8,7 +8,8 @@
 // — routes through one of two implementations selected once at startup:
 //
 //   kFast       precomputed 8-bit comb tables for G, wNAF variable-base
-//               multiplication, and GLV-endomorphism Shamir verification
+//               multiplication, GLV-endomorphism Shamir verification, and
+//               per-key comb tables for known signers (VerifySigner)
 //   kReference  naive double-and-add with no precomputation (the
 //               equivalence oracle and the forced-slow CI configuration)
 //

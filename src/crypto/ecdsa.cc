@@ -1,8 +1,14 @@
 #include "crypto/ecdsa.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <mutex>
+#include <shared_mutex>
+#include <unordered_map>
 
+#include "crypto/ec_backend.h"
 #include "crypto/hmac_sha256.h"
 #include "crypto/keccak256.h"
 
@@ -312,5 +318,160 @@ Address RecoverSigner(const Hash256& msg_hash, const EcdsaSignature& sig) {
   if (!pub.ok()) return Address::Zero();
   return AddressFromPublicKey(pub.value());
 }
+
+namespace {
+
+using secp256k1::KeyTable;
+
+struct CachedSigner {
+  KeyTable table;
+  /// The cache's miss count at insertion or at the latest hit: the LRU
+  /// clock. Hits only store when it moved, so a hot key's line stays
+  /// shared between reader threads.
+  mutable std::atomic<uint64_t> last_use{0};
+};
+
+/// Address -> (public key, key table) for repeat signers. Lookups take a
+/// shared lock; the miss path's bookkeeping takes the exclusive one, and
+/// tables are built outside any lock. Entries are shared_ptrs so an
+/// eviction never frees a table a concurrent check is still reading.
+class SignerCache {
+ public:
+  std::shared_ptr<const CachedSigner> Find(const Address& a) {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = entries_.find(a);
+    if (it == entries_.end()) return nullptr;
+    if (it->second->last_use.load(std::memory_order_relaxed) != misses_) {
+      it->second->last_use.store(misses_, std::memory_order_relaxed);
+    }
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
+
+  /// Records a successful full recovery of `q` for address `a`; on the
+  /// key's kSignerPromoteAfter-th one, builds and inserts its table.
+  void OnRecovered(const Address& a, const secp256k1::AffinePoint& q) {
+    {
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      ++misses_;
+      if (entries_.count(a) != 0) return;
+      if (candidates_.size() >= kCandidateCapacity &&
+          candidates_.count(a) == 0) {
+        candidates_.clear();
+      }
+      int& seen = candidates_[a];
+      if (++seen < kSignerPromoteAfter || !HasRoomLocked()) return;
+      candidates_.erase(a);
+    }
+    auto entry = std::make_shared<CachedSigner>();
+    entry->table = secp256k1::BuildKeyTable(q);
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    if (entries_.count(a) != 0 || !HasRoomLocked()) return;
+    if (entries_.size() >= kSignerCacheCapacity) {
+      auto victim = entries_.begin();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->second->last_use.load(std::memory_order_relaxed) <
+            victim->second->last_use.load(std::memory_order_relaxed)) {
+          victim = it;
+        }
+      }
+      entries_.erase(victim);
+      ++evictions_;
+      last_eviction_miss_ = misses_;
+    }
+    entry->last_use.store(misses_, std::memory_order_relaxed);
+    entries_.emplace(a, std::move(entry));
+    ++promotions_;
+  }
+
+  SignerCacheStats Stats() {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    SignerCacheStats s;
+    s.hits = hits_.load(std::memory_order_relaxed);
+    s.misses = misses_;
+    s.promotions = promotions_;
+    s.evictions = evictions_;
+    s.size = entries_.size();
+    return s;
+  }
+
+  void Reset() {
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    entries_.clear();
+    candidates_.clear();
+    hits_.store(0, std::memory_order_relaxed);
+    misses_ = promotions_ = evictions_ = last_eviction_miss_ = 0;
+  }
+
+ private:
+  /// Seen-once keys tracked for promotion; cleared wholesale when full.
+  static constexpr size_t kCandidateCapacity = 1024;
+
+  /// A full cache makes room only when kSignerMissesPerEviction misses
+  /// have passed since the last eviction, so a signer population larger
+  /// than the cache costs at most one table build per that many misses.
+  bool HasRoomLocked() const {
+    return entries_.size() < kSignerCacheCapacity ||
+           misses_ - last_eviction_miss_ >= kSignerMissesPerEviction;
+  }
+
+  std::shared_mutex mu_;
+  std::unordered_map<Address, std::shared_ptr<CachedSigner>, AddressHasher>
+      entries_;
+  std::unordered_map<Address, int, AddressHasher> candidates_;
+  std::atomic<uint64_t> hits_{0};
+  uint64_t misses_ = 0;
+  uint64_t promotions_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t last_eviction_miss_ = 0;
+};
+
+SignerCache& GlobalSignerCache() {
+  static auto* cache = new SignerCache();
+  return *cache;
+}
+
+/// The cache-hit check: R' = (z/s)*G + (r/s)*Q must be the point
+/// ecrecover lifts from (r, recovery_id); then recovery returns Q.
+bool VerifyWithTable(const KeyTable& table, const Hash256& msg_hash,
+                     const EcdsaSignature& sig) {
+  using namespace secp256k1;  // NOLINT(build/namespaces)
+  const U256& n = GroupOrder();
+  if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= n || sig.s >= n) {
+    return false;
+  }
+  U256 z = FnReduce(U256::FromHash(msg_hash));
+  U256 sinv = FnInv(sig.s);
+  AffinePoint rp =
+      DoubleScalarMulBaseKeyed(FnMul(z, sinv), table, FnMul(sig.r, sinv));
+  if (rp.infinity) return false;
+  return FnReduce(rp.x) == sig.r &&
+         (rp.x >= n) == ((sig.recovery_id & 2) != 0) &&
+         rp.y.Bit(0) == ((sig.recovery_id & 1) != 0);
+}
+
+}  // namespace
+
+bool VerifySigner(const Address& expected, const Hash256& msg_hash,
+                  const EcdsaSignature& sig) {
+  if (expected.IsZero()) return false;
+  if (secp256k1::ActiveEcBackend() == secp256k1::EcBackend::kReference) {
+    return RecoverSigner(msg_hash, sig) == expected;
+  }
+  SignerCache& cache = GlobalSignerCache();
+  if (auto signer = cache.Find(expected)) {
+    return VerifyWithTable(signer->table, msg_hash, sig);
+  }
+  auto pub = EcdsaRecover(msg_hash, sig);
+  if (!pub.ok() || AddressFromPublicKey(pub.value()) != expected) {
+    return false;
+  }
+  cache.OnRecovered(expected, pub.value());
+  return true;
+}
+
+SignerCacheStats GetSignerCacheStats() { return GlobalSignerCache().Stats(); }
+
+void ResetSignerCacheForTest() { GlobalSignerCache().Reset(); }
 
 }  // namespace wedge

@@ -116,6 +116,36 @@ Result<secp256k1::AffinePoint> EcdsaRecover(const Hash256& msg_hash,
 /// Convenience: recovers the signer's address, or Address::Zero on failure.
 Address RecoverSigner(const Hash256& msg_hash, const EcdsaSignature& sig);
 
+/// Known-signer check: exactly `!expected.IsZero() &&
+/// RecoverSigner(msg_hash, sig) == expected`, computed faster. A
+/// process-wide cache keeps the public key and a precomputed table for
+/// each repeat signer, so a hit verifies u1*G + u2*Q with no doublings
+/// and no square root (see DESIGN.md "Hot path & crypto acceleration").
+/// The hot-path response and request checks use this; the contracts keep
+/// RecoverSigner, which models the on-chain ecrecover precompile.
+bool VerifySigner(const Address& expected, const Hash256& msg_hash,
+                  const EcdsaSignature& sig);
+
+/// Known-signer cache bounds: at most kSignerCacheCapacity keys hold a
+/// table; a key gets one on its kSignerPromoteAfter-th successful
+/// recovery; a full cache evicts its least recently used key at most
+/// once per kSignerMissesPerEviction recoveries.
+inline constexpr size_t kSignerCacheCapacity = 128;
+inline constexpr int kSignerPromoteAfter = 2;
+inline constexpr uint64_t kSignerMissesPerEviction = 64;
+
+/// Counters of the known-signer cache, for tests.
+struct SignerCacheStats {
+  uint64_t hits = 0;        ///< Checks answered from a cached table.
+  uint64_t misses = 0;      ///< Accepted checks that ran a full recovery.
+  uint64_t promotions = 0;  ///< Tables built and inserted.
+  uint64_t evictions = 0;
+  size_t size = 0;          ///< Keys currently cached.
+};
+SignerCacheStats GetSignerCacheStats();
+/// Empties the cache and zeroes its counters (test setup only).
+void ResetSignerCacheForTest();
+
 }  // namespace wedge
 
 #endif  // WEDGEBLOCK_CRYPTO_ECDSA_H_

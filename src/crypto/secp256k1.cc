@@ -624,6 +624,62 @@ AffinePoint FastDoubleScalarMulBase(const U256& u1, const AffinePoint& p,
   return FromJacobian(acc);
 }
 
+// --- Per-key comb (KeyTable) ---
+// Signed windows of kKeyCombBits bits: each digit d lies in
+// [-2^(b-1), 2^(b-1)] and comb[w * kKeyCombDigits + |d| - 1] =
+// |d| * 2^(b*w) * Q, negated on use. The windows cover any GLV half of
+// up to 132 bits (the magnitude SplitScalarGlvImpl folds signs at) plus
+// the recoding's last carry.
+constexpr int kKeyCombBits = 5;
+constexpr int kKeyCombDigits = 1 << (kKeyCombBits - 1);
+constexpr int kKeyCombMaxBits = 132;
+constexpr int kKeyCombWindows = kKeyCombMaxBits / kKeyCombBits + 1;
+
+/// Bits [pos, pos + kKeyCombBits) of k.
+inline unsigned KeyCombChunk(const U256& k, int pos) {
+  int limb = pos / 64;
+  int shift = pos % 64;
+  uint64_t v = k.limb[limb] >> shift;
+  if (shift + kKeyCombBits > 64 && limb < 3) {
+    v |= k.limb[limb + 1] << (64 - shift);
+  }
+  return static_cast<unsigned>(v & ((1u << kKeyCombBits) - 1));
+}
+
+/// Adds k * Q (phi(Q) when `phi`, negated when `neg`) to acc from the
+/// comb: one mixed addition per non-zero signed digit, no doublings.
+Jacobian AddKeyComb(Jacobian acc, const U256& k, bool phi, bool neg,
+                    const AffinePoint* comb) {
+  unsigned carry = 0;
+  for (int w = 0; w < kKeyCombWindows; ++w) {
+    unsigned c = KeyCombChunk(k, w * kKeyCombBits) + carry;
+    carry = c > kKeyCombDigits ? 1 : 0;
+    int d = static_cast<int>(c) - (carry ? 1 << kKeyCombBits : 0);
+    if (d == 0) continue;
+    AffinePoint e = comb[w * kKeyCombDigits + std::abs(d) - 1];
+    if (phi) e.x = FpMulInl(e.x, kBeta);
+    acc = JAddMixed(acc, (d < 0) != neg ? NegateAffine(e) : e);
+  }
+  return acc;
+}
+
+AffinePoint FastDoubleScalarMulBaseKeyed(const U256& u1, const KeyTable& t,
+                                         const U256& u2) {
+  U256 k1, k2;
+  bool neg1 = false, neg2 = false;
+  SplitScalarGlvImpl(u2, &k1, &neg1, &k2, &neg2);
+  if (k1.BitLength() > kKeyCombMaxBits || k2.BitLength() > kKeyCombMaxBits) {
+    // Outside the lattice bound; never taken, but stays exact if it is.
+    return FastDoubleScalarMulBase(u1, t.key, u2);
+  }
+  Jacobian acc = Jacobian::Infinity();
+  U256 a = FnReduce(u1);
+  if (!a.IsZero()) FastScalarMulBaseAccum(a, &acc);
+  acc = AddKeyComb(acc, k1, false, neg1, t.comb.data());
+  acc = AddKeyComb(acc, k2, true, neg2, t.comb.data());
+  return FromJacobian(acc);
+}
+
 }  // namespace
 
 const U256& FieldPrime() {
@@ -835,6 +891,33 @@ AffinePoint DoubleScalarMulBase(const U256& u1, const AffinePoint& p,
     return reference::DoubleScalarMulBase(u1, p, u2);
   }
   return FastDoubleScalarMulBase(u1, p, u2);
+}
+
+KeyTable BuildKeyTable(const AffinePoint& q) {
+  std::vector<Jacobian> jac(static_cast<size_t>(kKeyCombWindows) *
+                            kKeyCombDigits);
+  Jacobian base = ToJacobian(q);
+  for (int w = 0; w < kKeyCombWindows; ++w) {
+    Jacobian* row = jac.data() + static_cast<size_t>(w) * kKeyCombDigits;
+    row[0] = base;
+    for (int d = 2; d <= kKeyCombDigits; ++d) {
+      row[d - 1] = JAdd(row[d - 2], base);
+    }
+    base = JDouble(row[kKeyCombDigits - 1]);  // 2^kKeyCombBits * base.
+  }
+  KeyTable t;
+  t.key = q;
+  t.comb.resize(jac.size());
+  BatchNormalize(jac.data(), jac.size(), t.comb.data());
+  return t;
+}
+
+AffinePoint DoubleScalarMulBaseKeyed(const U256& u1, const KeyTable& table,
+                                     const U256& u2) {
+  if (ActiveEcBackend() == EcBackend::kReference) {
+    return reference::DoubleScalarMulBase(u1, table.key, u2);
+  }
+  return FastDoubleScalarMulBaseKeyed(u1, table, u2);
 }
 
 Result<AffinePoint> LiftX(const U256& x, bool odd_y) {

@@ -1,6 +1,8 @@
 #ifndef WEDGEBLOCK_CRYPTO_SECP256K1_H_
 #define WEDGEBLOCK_CRYPTO_SECP256K1_H_
 
+#include <vector>
+
 #include "crypto/u256.h"
 
 namespace wedge {
@@ -96,6 +98,25 @@ void ScalarMulBaseMany(const U256* ks, size_t n, AffinePoint* out);
 /// ~130 doublings are needed. Used by ECDSA verification and recovery.
 AffinePoint DoubleScalarMulBase(const U256& u1, const AffinePoint& p,
                                 const U256& u2);
+
+/// Precomputed multiples of one fixed point Q, for repeated u1*G + u2*Q
+/// against the same Q (a known signer's public key): a signed 5-bit comb
+/// over the GLV halves of u2, comb[w * 16 + d - 1] = d * 32^w * Q for 27
+/// windows (432 affine points, ~31 KiB). phi(Q)'s multiples are the same
+/// points with x scaled by beta, so they are not stored.
+struct KeyTable {
+  AffinePoint key;
+  std::vector<AffinePoint> comb;
+};
+
+/// Builds Q's table with one batch normalization.
+KeyTable BuildKeyTable(const AffinePoint& q);
+
+/// u1*G + u2*table.key with no doublings: the G comb for u1 plus the key
+/// table for u2's GLV halves. Point-identical to DoubleScalarMulBase(u1,
+/// table.key, u2); the reference backend routes to its naive version.
+AffinePoint DoubleScalarMulBaseKeyed(const U256& u1, const KeyTable& table,
+                                     const U256& u2);
 
 /// Naive double-and-add implementations with no precomputation: the
 /// equivalence oracles for the fast paths above, and the code the

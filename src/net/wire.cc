@@ -153,7 +153,7 @@ bool SignedEnvelope::Verify() const {
   Bytes material;
   Append(material, sender.ToBytes());
   PutBytes(material, payload);
-  return RecoverSigner(Sha256::Digest(material), signature) == sender;
+  return VerifySigner(sender, Sha256::Digest(material), signature);
 }
 
 Bytes SignedEnvelope::Serialize() const {

@@ -2,7 +2,9 @@
 // table/wNAF/GLV shortcut must be point-identical to the naive
 // double-and-add reference, and the batch ECDSA APIs byte-identical to
 // their scalar counterparts (RFC 6979 pins every nonce, so equality is
-// exact, not statistical). Runs regardless of which backend the
+// exact, not statistical), and the known-signer check VerifySigner
+// exactly equal to RecoverSigner-and-compare, on the cache's miss and
+// hit paths alike. Runs regardless of which backend the
 // dispatcher picked; check.sh reruns it with WEDGE_EC_BACKEND=reference
 // and CI also builds with -DWEDGE_DISABLE_ECPRECOMP=ON.
 #include <gtest/gtest.h>
@@ -268,6 +270,224 @@ TEST(EcEquivTest, RecoverConsistentAcrossBackends) {
     EXPECT_EQ(fast_pub.value(), ref_pub.value());
   }
   EXPECT_EQ(fast_pub.value(), kp.public_key());
+}
+
+TEST(EcEquivTest, DoubleScalarMulBaseKeyedMatchesReference) {
+  ScopedBackend fast(EcBackend::kFast);
+  if (!fast.active()) GTEST_SKIP() << "fast backend compiled out";
+  std::vector<U256> corpus = SeededCorpus(60, 0xC0B);
+  for (uint64_t seed : {1, 2, 3}) {
+    AffinePoint q = KeyPair::FromSeed(seed).public_key();
+    KeyTable table = BuildKeyTable(q);
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      const U256& u1 = corpus[i];
+      const U256& u2 = corpus[(i * 7 + 3) % corpus.size()];
+      EXPECT_EQ(DoubleScalarMulBaseKeyed(u1, table, u2),
+                reference::DoubleScalarMulBase(u1, q, u2))
+          << "seed " << seed << " i " << i;
+    }
+    // Zero scalars on either side.
+    EXPECT_EQ(DoubleScalarMulBaseKeyed(U256::Zero(), table, U256::One()), q);
+    EXPECT_EQ(DoubleScalarMulBaseKeyed(U256::One(), table, U256::Zero()),
+              Generator());
+  }
+}
+
+/// The contract VerifySigner must meet exactly.
+bool RecoverMatches(const Address& expected, const Hash256& h,
+                    const EcdsaSignature& sig) {
+  return !expected.IsZero() && RecoverSigner(h, sig) == expected;
+}
+
+struct SignerCase {
+  Address expected;
+  Hash256 hash;
+  EcdsaSignature sig;
+};
+
+/// Valid signatures from a few keys, each with the mutations a forger
+/// or a corrupted frame could produce.
+std::vector<SignerCase> SignerCorpus(uint64_t seed, int keys, int msgs) {
+  const U256& n = GroupOrder();
+  std::vector<SignerCase> out;
+  Rng rng(seed);
+  for (int k = 0; k < keys; ++k) {
+    KeyPair kp = KeyPair::FromSeed(seed * 100 + k);
+    Address other = KeyPair::FromSeed(seed * 100 + k + 50).address();
+    for (int i = 0; i < msgs; ++i) {
+      Hash256 h = Sha256::Digest(rng.NextBytes(32));
+      EcdsaSignature sig = EcdsaSign(kp.private_key(), h);
+      const Address& a = kp.address();
+      auto add = [&](EcdsaSignature m) { out.push_back({a, h, m}); };
+      add(sig);
+      EcdsaSignature m = sig;
+      m.recovery_id ^= 1;
+      add(m);
+      m = sig;
+      m.recovery_id ^= 2;
+      add(m);
+      m = sig;
+      m.s = n - sig.s;
+      add(m);
+      m.recovery_id ^= 1;  // The high-s twin: still recovers the key.
+      add(m);
+      m = sig;
+      m.r = sig.r + U256::One();
+      add(m);
+      m.r = sig.r - U256::One();
+      add(m);
+      Hash256 wrong = h;
+      wrong[0] ^= 1;
+      out.push_back({a, wrong, sig});
+      out.push_back({other, h, sig});
+      out.push_back({Address::Zero(), h, sig});
+    }
+  }
+  return out;
+}
+
+/// A valid signature whose R has x = n + r >= n (recovery id bit 1):
+/// picks the smallest r with n + r on the curve, then recovers the one
+/// key Q for which (r, s, recid) is a valid signature on h.
+SignerCase OverflowXCase(uint8_t parity) {
+  const U256& n = GroupOrder();
+  U256 r = U256::One();
+  while (!LiftX(n + r, parity != 0).ok()) r = r + U256::One();
+  SignerCase c;
+  c.hash = Sha256::Digest("x >= n");
+  c.sig.r = r;
+  c.sig.s = U256(0x1234567);
+  c.sig.recovery_id = static_cast<uint8_t>(2 | parity);
+  auto q = EcdsaRecover(c.hash, c.sig);
+  EXPECT_TRUE(q.ok());
+  c.expected = AddressFromPublicKey(q.value());
+  return c;
+}
+
+/// Runs every case `passes` times against a fresh cache, so later passes
+/// take the cache-hit path for each key; returns the mismatch count.
+int CountSignerMismatches(const std::vector<SignerCase>& cases, int passes) {
+  ResetSignerCacheForTest();
+  int mismatches = 0;
+  for (int pass = 0; pass < passes; ++pass) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const SignerCase& c = cases[i];
+      bool want = RecoverMatches(c.expected, c.hash, c.sig);
+      bool got = VerifySigner(c.expected, c.hash, c.sig);
+      if (want != got) {
+        ++mismatches;
+        ADD_FAILURE() << "pass " << pass << " case " << i << ": want "
+                      << want << " got " << got;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(EcEquivTest, VerifySignerMatchesRecoverSignerOnBothBackends) {
+  std::vector<SignerCase> cases = SignerCorpus(0x51D, 4, 6);
+  for (uint8_t parity : {0, 1}) {
+    SignerCase c = OverflowXCase(parity);
+    ASSERT_TRUE(RecoverMatches(c.expected, c.hash, c.sig));
+    cases.push_back(c);
+    c.sig.recovery_id &= 1;  // Same r, but x = r: another point, key.
+    ASSERT_FALSE(RecoverMatches(c.expected, c.hash, c.sig));
+    cases.push_back(c);
+  }
+  for (EcBackend backend : {EcBackend::kFast, EcBackend::kReference}) {
+    ScopedBackend pinned(backend);
+    if (!pinned.active()) continue;
+    EXPECT_EQ(CountSignerMismatches(cases, 3), 0) << EcBackendName(backend);
+    if (backend == EcBackend::kFast) {
+      SignerCacheStats stats = GetSignerCacheStats();
+      EXPECT_EQ(stats.size, 6u);  // 4 corpus keys + 2 overflow-x keys.
+      EXPECT_GT(stats.hits, 0u);
+    }
+  }
+  // And under whatever backend the environment picked.
+  EXPECT_EQ(CountSignerMismatches(cases, 2), 0);
+}
+
+TEST(EcEquivTest, SignerCacheMissPromoteHitEvict) {
+  ScopedBackend fast(EcBackend::kFast);
+  if (!fast.active()) GTEST_SKIP() << "fast backend compiled out";
+  ResetSignerCacheForTest();
+  auto signed_by = [](uint64_t seed) {
+    KeyPair kp = KeyPair::FromSeed(0xCAC4E000 + seed);
+    Hash256 h = Sha256::Digest("cache " + std::to_string(seed));
+    return SignerCase{kp.address(), h, EcdsaSign(kp.private_key(), h)};
+  };
+  auto verify = [](const SignerCase& c) {
+    return VerifySigner(c.expected, c.hash, c.sig);
+  };
+
+  // Miss: the first success recovers and only remembers the key.
+  SignerCase first = signed_by(0);
+  ASSERT_TRUE(verify(first));
+  SignerCacheStats s = GetSignerCacheStats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.promotions, 0u);
+  EXPECT_EQ(s.size, 0u);
+  // A failed check is not a recovery of the key and promotes nothing.
+  SignerCase forged = first;
+  forged.hash[0] ^= 1;
+  EXPECT_FALSE(verify(forged));
+  EXPECT_EQ(GetSignerCacheStats().misses, 1u);
+  // Promote on the second success.
+  ASSERT_TRUE(verify(first));
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.promotions, 1u);
+  EXPECT_EQ(s.size, 1u);
+  // Hit: accepted and rejected from the table, no recovery.
+  EXPECT_TRUE(verify(first));
+  EXPECT_FALSE(verify(forged));
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.hits, 2u);
+  EXPECT_EQ(s.misses, 2u);
+
+  // Fill the cache: capacity - 1 more keys, each promoted.
+  std::vector<SignerCase> keys;
+  for (size_t i = 1; i < kSignerCacheCapacity; ++i) {
+    keys.push_back(signed_by(i));
+    ASSERT_TRUE(verify(keys.back()));
+    ASSERT_TRUE(verify(keys.back()));
+  }
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.size, kSignerCacheCapacity);
+  EXPECT_EQ(s.evictions, 0u);
+  // Touch every key but keys[0], so keys[0] is least recently used.
+  ASSERT_TRUE(verify(first));
+  for (size_t i = 1; i < keys.size(); ++i) ASSERT_TRUE(verify(keys[i]));
+  // One more key is promoted past capacity: the LRU key is evicted.
+  SignerCase extra = signed_by(kSignerCacheCapacity);
+  ASSERT_TRUE(verify(extra));
+  ASSERT_TRUE(verify(extra));
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.size, kSignerCacheCapacity);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.promotions, kSignerCacheCapacity + 1);
+  const uint64_t hits = s.hits;
+  EXPECT_TRUE(verify(extra));
+  EXPECT_TRUE(verify(first));
+  EXPECT_EQ(GetSignerCacheStats().hits, hits + 2);
+  // The evicted key recovers again, and a full cache evicts at most once
+  // per kSignerMissesPerEviction misses: its re-promotion waits.
+  const uint64_t misses = GetSignerCacheStats().misses;
+  ASSERT_TRUE(verify(keys[0]));
+  ASSERT_TRUE(verify(keys[0]));
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.misses, misses + 2);
+  EXPECT_EQ(s.evictions, 1u);
+  for (uint64_t i = 0; i < kSignerMissesPerEviction; ++i) {
+    ASSERT_TRUE(verify(signed_by(1000 + i)));
+  }
+  ASSERT_TRUE(verify(keys[0]));
+  s = GetSignerCacheStats();
+  EXPECT_EQ(s.evictions, 2u);
+  EXPECT_EQ(s.size, kSignerCacheCapacity);
+  EXPECT_TRUE(verify(keys[0]));
+  EXPECT_EQ(GetSignerCacheStats().hits, s.hits + 1);
 }
 
 }  // namespace

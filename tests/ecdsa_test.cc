@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/random.h"
+#include "crypto/ec_backend.h"
 
 namespace wedge {
 namespace {
@@ -187,6 +192,62 @@ TEST_P(EcdsaPropertyTest, SignVerifyRecover) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EcdsaPropertyTest,
                          ::testing::Values(1, 2, 3, 10, 99, 1234, 99999,
                                            0xdeadbeefULL));
+
+TEST(VerifySignerTest, ManyThreadsManyKeysPastCapacity) {
+  // More signers than the known-signer cache holds, checked from several
+  // threads at once: every genuine signature must pass and every forged
+  // one fail while keys are promoted, hit and evicted concurrently.
+  using secp256k1::EcBackend;
+  const EcBackend previous = secp256k1::ActiveEcBackend();
+  if (!secp256k1::SetEcBackendForTest(EcBackend::kFast)) {
+    GTEST_SKIP() << "fast backend compiled out";
+  }
+  ResetSignerCacheForTest();
+  const size_t keys = kSignerCacheCapacity + 72;
+  struct Signed {
+    Address address;
+    Hash256 hash;
+    EcdsaSignature sig;
+    Hash256 forged_hash;
+  };
+  std::vector<Signed> corpus;
+  for (size_t k = 0; k < keys; ++k) {
+    KeyPair kp = KeyPair::FromSeed(0x7A5A0000 + k);
+    Signed s;
+    s.address = kp.address();
+    s.hash = Sha256::Digest("tsan " + std::to_string(k));
+    s.sig = EcdsaSign(kp.private_key(), s.hash);
+    s.forged_hash = Sha256::Digest("forged " + std::to_string(k));
+    corpus.push_back(s);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t i = 0; i < keys; ++i) {
+          const Signed& s = corpus[(i * (t + 1) + round * 31) % keys];
+          if (!VerifySigner(s.address, s.hash, s.sig)) ++wrong;
+          if (i % 8 == 0 && VerifySigner(s.address, s.forged_hash, s.sig)) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  SignerCacheStats stats = GetSignerCacheStats();
+  EXPECT_EQ(stats.size, kSignerCacheCapacity);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.promotions, stats.size + stats.evictions);
+  ResetSignerCacheForTest();
+  secp256k1::SetEcBackendForTest(previous);
+}
 
 }  // namespace
 }  // namespace wedge

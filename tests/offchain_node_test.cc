@@ -302,6 +302,33 @@ TEST_F(OffchainNodeTest, VerifyRejectsCrossIndexResponses) {
   EXPECT_FALSE(mixed.Verify(d->node().address()));
 }
 
+TEST_F(OffchainNodeTest, ZeroAddressNeverVerifiesAGarbageSignature) {
+  // A failed recovery yields the zero address, so checking against it
+  // must fail even when everything but the signature is genuine.
+  EcdsaSignature garbage;
+  garbage.r = U256::Zero();
+  garbage.s = U256::One();
+  auto d = Make(4);
+  auto& pub = d->publisher();
+  auto responses = pub.Publish(pub.MakeRequests(Workload(4)));
+  ASSERT_TRUE(responses.ok());
+  Stage1Response r = responses->front();
+  r.offchain_signature = garbage;
+  EXPECT_FALSE(r.Verify(Address::Zero()));
+
+  auto batch = d->node().ReadBatch(0);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_TRUE(batch->Verify(d->node().address()));
+  batch->offchain_signature = garbage;
+  EXPECT_FALSE(batch->Verify(Address::Zero()));
+
+  AppendRequest req =
+      AppendRequest::Make(KeyPair::FromSeed(1), 1, ToBytes("k"), ToBytes("v"));
+  req.publisher = Address::Zero();
+  req.signature = garbage;
+  EXPECT_FALSE(req.VerifySignature());
+}
+
 TEST_F(OffchainNodeTest, DigestsSurviveStage2SubmitFailure) {
   // Regression: a failed chain Submit used to drain the pending digests
   // and lose the roots for good. They must stay journaled for retry.

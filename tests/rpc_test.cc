@@ -403,6 +403,40 @@ TEST_F(RpcTest, OversizeAndGarbageFramesCloseTheConnection) {
   client->Close();
 }
 
+TEST_F(RpcTest, ZeroSenderGarbageSignatureFrameIsDropped) {
+  // First put an entry in the log, so the read below would be served.
+  auto client = MakeClient();
+  KeyPair publisher = KeyPair::FromSeed(0xC11E);
+  uint64_t seq = 0;
+  ASSERT_TRUE(
+      client->AppendForTenant(kTenant, MakeBatch(publisher, seq, 4)).ok());
+  client->Close();
+
+  // A valid read request in an envelope that claims the zero sender and
+  // carries a signature that cannot be recovered.
+  RpcRequest request;
+  request.rpc_id = 77;
+  request.op = std::string(kOpReadTenant);
+  request.body = EncodeTenantReadBody(kTenant, EntryIndex{0, 0});
+  SignedEnvelope envelope;
+  envelope.sender = Address::Zero();
+  envelope.payload = request.Encode();
+  envelope.signature.r = U256::Zero();
+  envelope.signature.s = U256::One();
+  Counter* malformed = deployment_->telemetry().metrics.GetCounter(
+      "wedge.rpc.malformed_frames");
+  const uint64_t malformed_before = malformed->Value();
+
+  int fd = DialLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteAll(fd, EncodeFrame(envelope.Serialize())));
+  uint8_t buf[16];
+  EXPECT_EQ(::read(fd, buf, sizeof(buf)), 0);  // Closed with no reply.
+  ::close(fd);
+  EXPECT_EQ(malformed->Value(), malformed_before + 1);
+  EXPECT_TRUE(server_->running());
+}
+
 TEST_F(RpcTest, WellSignedUndecodableRequestGetsTypedErrorReply) {
   // A well-signed envelope whose payload has a readable rpc_id but is
   // otherwise garbage: the server must answer with an error response

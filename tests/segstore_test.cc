@@ -25,13 +25,28 @@
 namespace wedge {
 namespace {
 
-std::string TempDir(const char* tag) {
-  std::string dir = std::filesystem::temp_directory_path() /
-                    (std::string("wedge_segstore_") + tag + "_" +
-                     std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
+/// A fresh scratch directory for one test, removed with everything in
+/// it when the guard goes out of scope.
+class TempDir {
+ public:
+  explicit TempDir(const char* tag)
+      : path_(std::filesystem::temp_directory_path() /
+              (std::string("wedge_segstore_") + tag + "_" +
+               std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 LogPosition MakePosition(uint64_t id, size_t entries, uint64_t seed = 7) {
   Rng rng(seed + id);
@@ -75,7 +90,8 @@ std::unique_ptr<SegmentLogStore> OpenOrDie(const std::string& dir,
 }
 
 TEST(SegmentStoreTest, AppendGetScanAcrossSealBoundaries) {
-  std::string dir = TempDir("basic");
+  TempDir dir_guard("basic");
+  const std::string& dir = dir_guard.path();
   auto store = OpenOrDie(dir, SmallSegments());
   for (uint64_t i = 0; i < 11; ++i) {
     ASSERT_TRUE(store->Append(MakePosition(i, 3)).ok());
@@ -113,7 +129,8 @@ TEST(SegmentStoreTest, AppendGetScanAcrossSealBoundaries) {
 }
 
 TEST(SegmentStoreTest, ReopenRecoversSegmentsAndWalTail) {
-  std::string dir = TempDir("reopen");
+  TempDir dir_guard("reopen");
+  const std::string& dir = dir_guard.path();
   {
     auto store = OpenOrDie(dir, SmallSegments());
     for (uint64_t i = 0; i < 10; ++i) {
@@ -137,7 +154,8 @@ TEST(SegmentStoreTest, ReopenRecoversSegmentsAndWalTail) {
 }
 
 TEST(SegmentStoreTest, TruncatesTornWalTail) {
-  std::string dir = TempDir("torn");
+  TempDir dir_guard("torn");
+  const std::string& dir = dir_guard.path();
   {
     auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
     for (uint64_t i = 0; i < 5; ++i) {
@@ -163,7 +181,8 @@ TEST(SegmentStoreTest, TruncatesTornWalTail) {
 }
 
 TEST(SegmentStoreTest, CrashBeforeSegmentRenameLeavesWalAuthoritative) {
-  std::string dir = TempDir("crash_tmp");
+  TempDir dir_guard("crash_tmp");
+  const std::string& dir = dir_guard.path();
   {
     SegmentLogStore::Options options = SmallSegments();
     options.crash_point = SegmentLogStore::CrashPoint::kSealAfterTempWrite;
@@ -191,7 +210,8 @@ TEST(SegmentStoreTest, CrashBeforeSegmentRenameLeavesWalAuthoritative) {
 }
 
 TEST(SegmentStoreTest, CrashBetweenSealAndWalTruncateDeduplicates) {
-  std::string dir = TempDir("crash_wal");
+  TempDir dir_guard("crash_wal");
+  const std::string& dir = dir_guard.path();
   {
     SegmentLogStore::Options options = SmallSegments();
     options.crash_point = SegmentLogStore::CrashPoint::kSealBeforeWalTruncate;
@@ -220,7 +240,8 @@ TEST(SegmentStoreTest, CrashBetweenSealAndWalTruncateDeduplicates) {
 }
 
 TEST(SegmentStoreTest, DoubleRecoveryIsIdempotent) {
-  std::string dir = TempDir("double");
+  TempDir dir_guard("double");
+  const std::string& dir = dir_guard.path();
   {
     SegmentLogStore::Options options = SmallSegments();
     options.crash_point = SegmentLogStore::CrashPoint::kSealBeforeWalTruncate;
@@ -244,7 +265,8 @@ TEST(SegmentStoreTest, DoubleRecoveryIsIdempotent) {
 }
 
 TEST(SegmentStoreTest, PreparedButUnsyncedPositionsAreInvisible) {
-  std::string dir = TempDir("visibility");
+  TempDir dir_guard("visibility");
+  const std::string& dir = dir_guard.path();
   auto store = OpenOrDie(dir, SmallSegments(/*positions=*/64));
   auto token = store->AppendPrepare(MakePosition(0, 2));
   ASSERT_TRUE(token.ok()) << token.status().ToString();
@@ -258,7 +280,8 @@ TEST(SegmentStoreTest, PreparedButUnsyncedPositionsAreInvisible) {
 }
 
 TEST(SegmentStoreTest, GroupCommitCoalescesConcurrentAppenders) {
-  std::string dir = TempDir("group");
+  TempDir dir_guard("group");
+  const std::string& dir = dir_guard.path();
   MetricsRegistry metrics;
   SegmentLogStore::Options options = SmallSegments(/*positions=*/1024);
   options.metrics = &metrics;
@@ -318,7 +341,8 @@ TEST(SegmentStoreTest, OwnerAttributionMatchesPublisherTenant) {
 }
 
 TEST(SegmentStoreTest, CompactionDropsRetiredAndPreservesLiveBytes) {
-  std::string dir = TempDir("gc");
+  TempDir dir_guard("gc");
+  const std::string& dir = dir_guard.path();
   KeyPair pub_a = KeyPair::FromSeed(0xA);
   KeyPair pub_b = KeyPair::FromSeed(0xB);
   uint64_t tenant_a = PublisherTenant(pub_a.address());
@@ -395,7 +419,8 @@ TEST(SegmentStoreTest, CompactionDropsRetiredAndPreservesLiveBytes) {
 }
 
 TEST(SegmentStoreTest, RejectsMixedOwnerRetirement) {
-  std::string dir = TempDir("gc_mixed");
+  TempDir dir_guard("gc_mixed");
+  const std::string& dir = dir_guard.path();
   auto store = OpenOrDie(dir, SmallSegments());
   EXPECT_FALSE(store->RetireTenant(kMixedOwnerTenant).ok());
 }
@@ -404,7 +429,8 @@ TEST(SegmentStoreTest, RejectsMixedOwnerRetirement) {
 // Engine-level GC: proofs over retired neighbors keep verifying.
 
 TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
-  std::string dir = TempDir("engine_gc");
+  TempDir dir_guard("engine_gc");
+  const std::string& dir = dir_guard.path();
   std::filesystem::create_directories(dir);
   KeyPair pub_a = KeyPair::FromSeed(0x1111);
   KeyPair pub_b = KeyPair::FromSeed(0x2222);
@@ -461,7 +487,8 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
     EXPECT_TRUE(client.VerifyAggregation(*read, *agg));
   }
   // Retiring a tenant on the file backend is a typed precondition error.
-  std::string file_dir = TempDir("engine_gc_file");
+  TempDir file_dir_guard("engine_gc_file");
+  const std::string& file_dir = file_dir_guard.path();
   std::filesystem::create_directories(file_dir);
   ShardedDeploymentConfig file_config = config;
   file_config.log_dir = file_dir;
@@ -476,7 +503,8 @@ TEST(SegmentStoreEngineTest, CompactionKeepsLiveProofsVerifying) {
 // FileLogStore error-path audit: typed IoError, no acked-then-lost.
 
 TEST(FileStoreFaultTest, FullDiskAppendFailsTypedAndLosesNothingAcked) {
-  std::string path = TempDir("enospc");
+  TempDir path_guard("enospc");
+  const std::string& path = path_guard.path();
   FileLogStore::Options options;
   options.fail_after_bytes = 2000;  // Simulated device capacity.
   auto store = FileLogStore::Open(path, options);
@@ -514,7 +542,8 @@ TEST(FileStoreFaultTest, FullDiskAppendFailsTypedAndLosesNothingAcked) {
 }
 
 TEST(FileStoreFaultTest, FsyncOnAppendFaultIsAlsoTyped) {
-  std::string path = TempDir("enospc_sync");
+  TempDir path_guard("enospc_sync");
+  const std::string& path = path_guard.path();
   FileLogStore::Options options;
   options.fail_after_bytes = 600;
   options.fsync_on_append = true;

@@ -291,6 +291,20 @@ TEST(SignedEnvelopeTest, SpoofedSenderFails) {
   EXPECT_FALSE(env.Verify());
 }
 
+TEST(SignedEnvelopeTest, ZeroSenderWithGarbageSignatureFails) {
+  // Recovery of (r = 0, s = 1) fails, and a failed recovery yields the
+  // zero address: an envelope claiming that sender must not verify.
+  SignedEnvelope env;
+  env.sender = Address::Zero();
+  env.payload = ToBytes("payload");
+  env.signature.r = U256::Zero();
+  env.signature.s = U256::One();
+  EXPECT_FALSE(env.Verify());
+  auto back = SignedEnvelope::Deserialize(env.Serialize());
+  ASSERT_TRUE(back.ok());
+  EXPECT_FALSE(back->Verify());
+}
+
 TEST(SignedEnvelopeTest, SerializationRoundTrip) {
   KeyPair key = KeyPair::FromSeed(7);
   SignedEnvelope env = SignedEnvelope::Create(key, ToBytes("wire me"));
