@@ -120,21 +120,6 @@ void BM_EcdsaSignMany(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaSignMany)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-void BM_EcdsaVerifyMany(benchmark::State& state) {
-  KeyPair kp = KeyPair::FromSeed(1);
-  std::vector<Hash256> hashes(state.range(0));
-  std::vector<EcdsaSignature> sigs(hashes.size());
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    hashes[i] = Sha256::Digest("entry-" + std::to_string(i));
-    sigs[i] = EcdsaSign(kp.private_key(), hashes[i]);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EcdsaVerifyMany(kp.public_key(), hashes, sigs));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EcdsaVerifyMany)->Arg(256)->Unit(benchmark::kMillisecond);
-
 void BM_MerkleBuild(benchmark::State& state) {
   Rng rng(1);
   std::vector<Bytes> leaves;
@@ -230,6 +215,39 @@ void BM_FpMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FpMul);
+
+// Field and scalar inversion (variable-time divsteps) and the field
+// square root; perf_smoke.sh gates BM_FpInv against BM_FpMul from the
+// same run.
+void BM_FpInv(benchmark::State& state) {
+  Rng rng(1);
+  U256 a(rng.Next(), rng.Next(), rng.Next(), rng.Next() >> 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::FpInv(a));
+    a = a + U256::One();
+  }
+}
+BENCHMARK(BM_FpInv);
+
+void BM_FnInv(benchmark::State& state) {
+  Rng rng(1);
+  U256 a(rng.Next(), rng.Next(), rng.Next(), rng.Next() >> 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::FnInv(a));
+    a = a + U256::One();
+  }
+}
+BENCHMARK(BM_FnInv);
+
+void BM_FpSqrt(benchmark::State& state) {
+  Rng rng(1);
+  U256 a(rng.Next(), rng.Next(), rng.Next(), rng.Next() >> 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secp256k1::FpSqrt(a));
+    a = a + U256::One();
+  }
+}
+BENCHMARK(BM_FpSqrt);
 
 void BM_ScalarMulBase(benchmark::State& state) {
   Rng rng(1);

@@ -1,6 +1,5 @@
 #include "crypto/ecdsa.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -217,54 +216,6 @@ std::vector<EcdsaSignature> EcdsaSignMany(const U256& private_key,
   std::vector<EcdsaSignature> out(hashes.size());
   EcdsaSignMany(private_key, hashes.data(), hashes.size(), out.data());
   return out;
-}
-
-void EcdsaVerifyMany(const AffinePoint* public_keys, const Hash256* hashes,
-                     const EcdsaSignature* sigs, size_t n, uint8_t* ok) {
-  using namespace secp256k1;  // NOLINT(build/namespaces)
-  if (n == 0) return;
-  const U256& order = GroupOrder();
-
-  // Range-check everything first so the batch inversion only ever sees
-  // nonzero scalars, then invert all s values at once.
-  std::vector<U256> svals;
-  std::vector<size_t> idx;
-  svals.reserve(n);
-  idx.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const EcdsaSignature& sig = sigs[i];
-    if (sig.r.IsZero() || sig.s.IsZero() || sig.r >= order ||
-        sig.s >= order || public_keys[i].infinity ||
-        !IsOnCurve(public_keys[i])) {
-      ok[i] = 0;
-      continue;
-    }
-    svals.push_back(sig.s);
-    idx.push_back(i);
-  }
-  if (svals.empty()) return;
-  FnInvMany(svals.data(), svals.size(), svals.data());
-
-  for (size_t j = 0; j < idx.size(); ++j) {
-    size_t i = idx[j];
-    U256 z = FnReduce(U256::FromHash(hashes[i]));
-    U256 u1 = FnMul(z, svals[j]);
-    U256 u2 = FnMul(sigs[i].r, svals[j]);
-    AffinePoint p = DoubleScalarMulBase(u1, public_keys[i], u2);
-    ok[i] = (!p.infinity && FnReduce(p.x) == sigs[i].r) ? 1 : 0;
-  }
-}
-
-std::vector<uint8_t> EcdsaVerifyMany(const AffinePoint& public_key,
-                                     const std::vector<Hash256>& hashes,
-                                     const std::vector<EcdsaSignature>& sigs) {
-  size_t n = std::min(hashes.size(), sigs.size());
-  std::vector<AffinePoint> keys(n, public_key);
-  std::vector<uint8_t> ok(n, 0);
-  if (n > 0) {
-    EcdsaVerifyMany(keys.data(), hashes.data(), sigs.data(), n, ok.data());
-  }
-  return ok;
 }
 
 bool EcdsaVerify(const AffinePoint& public_key, const Hash256& msg_hash,

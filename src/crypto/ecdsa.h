@@ -94,20 +94,6 @@ void EcdsaSignMany(const U256& private_key, const Hash256* hashes, size_t n,
 std::vector<EcdsaSignature> EcdsaSignMany(const U256& private_key,
                                           const std::vector<Hash256>& hashes);
 
-/// Batch verification: ok[i] = EcdsaVerify(public_keys[i], hashes[i],
-/// sigs[i]) ? 1 : 0, with the per-signature s-inversions batched into
-/// one simultaneous inversion. This is plain per-item verification with
-/// shared inversions — NOT probabilistic batch validation; each result
-/// is exactly what the scalar call returns.
-void EcdsaVerifyMany(const secp256k1::AffinePoint* public_keys,
-                     const Hash256* hashes, const EcdsaSignature* sigs,
-                     size_t n, uint8_t* ok);
-/// Convenience for the common one-signer case (e.g. a client checking a
-/// batch of stage-1 responses from one node).
-std::vector<uint8_t> EcdsaVerifyMany(const secp256k1::AffinePoint& public_key,
-                                     const std::vector<Hash256>& hashes,
-                                     const std::vector<EcdsaSignature>& sigs);
-
 /// Recovers the signing public key from (hash, signature). This mirrors
 /// Ethereum's ecrecover precompile.
 Result<secp256k1::AffinePoint> EcdsaRecover(const Hash256& msg_hash,

@@ -96,13 +96,6 @@ inline bool AddInl(U256* a, const U256& b) {
   return acc != 0;
 }
 
-inline void Shr1Inl(U256* x) {
-  x->limb[0] = (x->limb[0] >> 1) | (x->limb[1] << 63);
-  x->limb[1] = (x->limb[1] >> 1) | (x->limb[2] << 63);
-  x->limb[2] = (x->limb[2] >> 1) | (x->limb[3] << 63);
-  x->limb[3] >>= 1;
-}
-
 inline U256 FpAddInl(const U256& a, const U256& b) {
   U256 r = a;
   bool over = AddInl(&r, b);
@@ -193,61 +186,275 @@ inline U256 FpMulInl(const U256& a, const U256& b) {
 
 inline U256 FpSqrInl(const U256& a) { return FpMulInl(a, a); }
 
-/// *x = (x + (x odd ? m : 0)) / 2, tracking the carry out of the
-/// addition. Core step of the binary extended gcd below; m odd.
-inline void HalfModInl(U256* x, const U256& m) {
-  bool carry = false;
-  if (x->limb[0] & 1) carry = AddInl(x, m);
-  Shr1Inl(x);
-  if (carry) x->limb[3] |= 1ULL << 63;
+inline U256 FpSqrNInl(U256 a, int n) {
+  for (int i = 0; i < n; ++i) a = FpSqrInl(a);
+  return a;
 }
 
-/// *a = a - b mod m (both already < m).
-inline void SubModInl(U256* a, const U256& b, const U256& m) {
-  if (SubInl(a, b)) AddInl(a, m);
+// --- Variable-time modular inversion: Bernstein-Yang safegcd ---
+// The divsteps algorithm of "Fast constant-time gcd computation and
+// modular inversion" (TCHES 2019) in its variable-time form, as in
+// libsecp256k1's modinv64_var. Numbers live in signed 62-bit limbs; each
+// round runs 62 divsteps on the low words only, collects them in a 2x2
+// transition matrix, then applies it to (f, g) and to the cofactors
+// (d, e), which are kept in (-2m, m). Variable time is acceptable here:
+// verification inverts public values, and signing's nonce inversion
+// keeps the timing class it had (see DESIGN.md).
+
+using int128 = __int128;
+
+constexpr uint64_t kM62 = ~0ULL >> 2;
+
+/// value = sum(v[i] * 2^(62*i)); v[0..3] in [0, 2^62) once normalized,
+/// v[4] carries the sign.
+struct Signed62 {
+  int64_t v[5];
+};
+
+/// An odd modulus in signed-62 form and its inverse mod 2^62.
+struct ModInfo62 {
+  Signed62 m;
+  uint64_t m_inv62;
+};
+
+// p = 2^256 - 0x1000003D1 and n, with p^-1 and n^-1 mod 2^62.
+constexpr ModInfo62 kP62{{{-0x1000003D1LL, 0, 0, 0, 256}},
+                         0x27C7F6E22DDACACFULL};
+constexpr ModInfo62 kN62{
+    {{0x3FD25E8CD0364141LL, 0x2ABB739ABD2280EELL, -0x15LL, 0, 256}},
+    0x34F20099AA774EC1ULL};
+
+/// Bernstein-Yang Thm. 11.2: floor((49*256 + 80) / 17) = 742 divsteps
+/// bring g to zero for any f, g < 2^256, i.e. at most 12 rounds of 62.
+constexpr int kMaxDivstepRounds = 12;
+
+/// [f g] <- t [f g] / 2^62 (and likewise for d, e, plus m multiples).
+struct Trans2x2 {
+  int64_t u, v, q, r;
+};
+
+Signed62 ToSigned62(const U256& a) {
+  const auto& l = a.limb;
+  return Signed62{{static_cast<int64_t>(l[0] & kM62),
+                   static_cast<int64_t>((l[0] >> 62 | l[1] << 2) & kM62),
+                   static_cast<int64_t>((l[1] >> 60 | l[2] << 4) & kM62),
+                   static_cast<int64_t>((l[2] >> 58 | l[3] << 6) & kM62),
+                   static_cast<int64_t>(l[3] >> 56)}};
 }
 
-/// a^-1 mod m via the variable-time binary extended Euclidean algorithm
-/// (~20x faster than the Fermat ladder). Requires m odd prime and
-/// a != 0 mod m (checked by the callers).
-U256 BinInvMod(const U256& a_in, const U256& m) {
-  const U256 one = U256::One();
-  U256 u = a_in >= m ? U256::Mod(a_in, m) : a_in;
-  U256 v = m;
-  U256 x1 = one;
-  U256 x2 = U256::Zero();
-  while (u != one && v != one) {
-    while ((u.limb[0] & 1) == 0) {
-      Shr1Inl(&u);
-      HalfModInl(&x1, m);
-    }
-    while ((v.limb[0] & 1) == 0) {
-      Shr1Inl(&v);
-      HalfModInl(&x2, m);
-    }
-    if (CmpInl(u, v) >= 0) {
-      SubInl(&u, v);
-      SubModInl(&x1, x2, m);
+/// Requires a normalized value in [0, 2^256).
+U256 FromSigned62(const Signed62& a) {
+  const auto a0 = static_cast<uint64_t>(a.v[0]);
+  const auto a1 = static_cast<uint64_t>(a.v[1]);
+  const auto a2 = static_cast<uint64_t>(a.v[2]);
+  const auto a3 = static_cast<uint64_t>(a.v[3]);
+  const auto a4 = static_cast<uint64_t>(a.v[4]);
+  return U256(a0 | a1 << 62, a1 >> 2 | a2 << 60, a2 >> 4 | a3 << 58,
+              a3 >> 6 | a4 << 56);
+}
+
+/// Runs 62 divsteps on the low 64 bits of f (odd) and g, starting from
+/// eta = -delta; fills the transition matrix, scaled so that
+/// t [f0 g0] = 2^62 [f g], and returns the new eta. A run of zero low
+/// bits in g is consumed in one shift; a sentinel bit above position i
+/// stops it at the 62-step budget.
+int64_t Divsteps62Var(int64_t eta, uint64_t f0, uint64_t g0, Trans2x2* t) {
+  uint64_t u = 1, v = 0, q = 0, r = 1;
+  uint64_t f = f0, g = g0;
+  int i = 62;
+  for (;;) {
+    int zeros = __builtin_ctzll(g | (~0ULL << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    if (i == 0) break;
+    // f and g are both odd here: cancel low bits of g with a multiple
+    // of f, no more than the steps left (i) and no more than eta + 1,
+    // after which delta's sign would flip again.
+    auto low_bits = [&](uint64_t cap) {
+      int limit = static_cast<int>(std::min<int64_t>(eta + 1, i));
+      return (~0ULL >> (64 - limit)) & cap;
+    };
+    uint64_t w;
+    if (eta < 0) {
+      // (delta, f, g) <- (-delta, g, -f), with the matrix rows alike.
+      eta = -eta;
+      uint64_t tmp = f;
+      f = g;
+      g = -tmp;
+      tmp = u;
+      u = q;
+      q = -tmp;
+      tmp = v;
+      v = r;
+      r = -tmp;
+      // Up to 6 bits: f * (f^2 - 2) == -1/f (mod 64).
+      w = (f * g * (f * f - 2)) & low_bits(63);
     } else {
-      SubInl(&v, u);
-      SubModInl(&x2, x1, m);
+      // Up to 4 bits: f + (((f + 1) & 4) << 1) == 1/f (mod 16).
+      w = (-(f + (((f + 1) & 4) << 1)) * g) & low_bits(15);
+    }
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t->u = static_cast<int64_t>(u);
+  t->v = static_cast<int64_t>(v);
+  t->q = static_cast<int64_t>(q);
+  t->r = static_cast<int64_t>(r);
+  return eta;
+}
+
+/// [d e] <- (t [d e] + m [md me]) / 2^62, with md, me chosen to make the
+/// division exact and to keep d, e in (-2m, m).
+void UpdateDe62(Signed62* d, Signed62* e, const Trans2x2& t,
+                const ModInfo62& mod) {
+  const int64_t sd = d->v[4] >> 63;
+  const int64_t se = e->v[4] >> 63;
+  int64_t md = (t.u & sd) + (t.v & se);
+  int64_t me = (t.q & sd) + (t.r & se);
+  int128 cd = static_cast<int128>(t.u) * d->v[0] +
+              static_cast<int128>(t.v) * e->v[0];
+  int128 ce = static_cast<int128>(t.q) * d->v[0] +
+              static_cast<int128>(t.r) * e->v[0];
+  md -= static_cast<int64_t>(
+      (mod.m_inv62 * static_cast<uint64_t>(cd) + static_cast<uint64_t>(md)) &
+      kM62);
+  me -= static_cast<int64_t>(
+      (mod.m_inv62 * static_cast<uint64_t>(ce) + static_cast<uint64_t>(me)) &
+      kM62);
+  cd += static_cast<int128>(mod.m.v[0]) * md;
+  ce += static_cast<int128>(mod.m.v[0]) * me;
+  cd >>= 62;  // The low 62 bits are zero by the choice of md, me.
+  ce >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += static_cast<int128>(t.u) * d->v[i] +
+          static_cast<int128>(t.v) * e->v[i];
+    ce += static_cast<int128>(t.q) * d->v[i] +
+          static_cast<int128>(t.r) * e->v[i];
+    if (mod.m.v[i] != 0) {
+      cd += static_cast<int128>(mod.m.v[i]) * md;
+      ce += static_cast<int128>(mod.m.v[i]) * me;
+    }
+    d->v[i - 1] = static_cast<int64_t>(static_cast<uint64_t>(cd) & kM62);
+    e->v[i - 1] = static_cast<int64_t>(static_cast<uint64_t>(ce) & kM62);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d->v[4] = static_cast<int64_t>(cd);
+  e->v[4] = static_cast<int64_t>(ce);
+}
+
+/// [f g] <- t [f g] / 2^62 over the low `len` limbs (exact by
+/// construction of t).
+void UpdateFg62Var(int len, Signed62* f, Signed62* g, const Trans2x2& t) {
+  int128 cf = static_cast<int128>(t.u) * f->v[0] +
+              static_cast<int128>(t.v) * g->v[0];
+  int128 cg = static_cast<int128>(t.q) * f->v[0] +
+              static_cast<int128>(t.r) * g->v[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += static_cast<int128>(t.u) * f->v[i] +
+          static_cast<int128>(t.v) * g->v[i];
+    cg += static_cast<int128>(t.q) * f->v[i] +
+          static_cast<int128>(t.r) * g->v[i];
+    f->v[i - 1] = static_cast<int64_t>(static_cast<uint64_t>(cf) & kM62);
+    g->v[i - 1] = static_cast<int64_t>(static_cast<uint64_t>(cg) & kM62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f->v[len - 1] = static_cast<int64_t>(cf);
+  g->v[len - 1] = static_cast<int64_t>(cg);
+}
+
+/// Maps d in (-2m, m) to (sign < 0 ? -d : d) mod m in [0, m), with
+/// normalized limbs.
+void Normalize62(Signed62* d, int64_t sign, const ModInfo62& mod) {
+  int64_t* r = d->v;
+  auto carry = [r] {
+    for (int i = 0; i < 4; ++i) {
+      r[i + 1] += r[i] >> 62;
+      r[i] &= static_cast<int64_t>(kM62);
+    }
+  };
+  if (r[4] < 0) {
+    for (int i = 0; i < 5; ++i) r[i] += mod.m.v[i];
+  }
+  if (sign < 0) {
+    for (int i = 0; i < 5; ++i) r[i] = -r[i];
+  }
+  carry();
+  if (r[4] < 0) {
+    for (int i = 0; i < 5; ++i) r[i] += mod.m.v[i];
+    carry();
+  }
+}
+
+/// x^-1 mod m for 0 < x < m, m an odd prime.
+U256 ModInvVar(const U256& x, const ModInfo62& mod) {
+  Signed62 d{{0, 0, 0, 0, 0}};
+  Signed62 e{{1, 0, 0, 0, 0}};
+  Signed62 f = mod.m;
+  Signed62 g = ToSigned62(x);
+  int len = 5;
+  int64_t eta = -1;  // eta = -delta, delta starts at 1.
+  for (int round = 0; round < kMaxDivstepRounds; ++round) {
+    Trans2x2 t;
+    eta = Divsteps62Var(eta, static_cast<uint64_t>(f.v[0]),
+                        static_cast<uint64_t>(g.v[0]), &t);
+    UpdateDe62(&d, &e, t, mod);
+    UpdateFg62Var(len, &f, &g, t);
+    if (g.v[0] == 0) {
+      int64_t any = 0;
+      for (int j = 1; j < len; ++j) any |= g.v[j];
+      if (any == 0) {
+        // g = 0 and f = +-gcd = +-1: d holds +-x^-1.
+        Normalize62(&d, f.v[len - 1], mod);
+        return FromSigned62(d);
+      }
+    }
+    // Drop the top limb once both f and g fit in one limb fewer: fold
+    // its sign (0 or -1) into the limb below.
+    const int64_t fn = f.v[len - 1];
+    const int64_t gn = g.v[len - 1];
+    if (len > 1 && (fn == 0 || fn == -1) && (gn == 0 || gn == -1)) {
+      f.v[len - 2] = static_cast<int64_t>(static_cast<uint64_t>(f.v[len - 2]) |
+                                          static_cast<uint64_t>(fn) << 62);
+      g.v[len - 2] = static_cast<int64_t>(static_cast<uint64_t>(g.v[len - 2]) |
+                                          static_cast<uint64_t>(gn) << 62);
+      --len;
     }
   }
-  return u == one ? x1 : x2;
+  std::fprintf(stderr,
+               "wedge/secp256k1: divsteps inversion exceeded its %d-round "
+               "bound; aborting\n",
+               kMaxDivstepRounds);
+  std::abort();
+}
+
+/// a^-1 mod m after reducing a; aborts when a == 0 (mod m).
+U256 InvChecked(const U256& a, const U256& m, const ModInfo62& mod,
+                const char* fn) {
+  U256 r = a >= m ? U256::Mod(a, m) : a;
+  if (r.IsZero()) DieZeroInverse(fn);
+  return ModInvVar(r, mod);
 }
 
 /// Montgomery's simultaneous-inversion trick: one real inversion plus
-/// three multiplications per element. MulFn is FpMul or FnMul.
+/// three multiplications per element. MulFn is FpMul or FnMul. The
+/// modulus is prime, so the product is zero iff some input is.
 template <typename MulFn>
 void InvManyImpl(const U256* xs, size_t n, U256* out, const U256& m,
-                 MulFn mul, const char* fn) {
+                 const ModInfo62& mod, MulFn mul, const char* fn) {
   if (n == 0) return;
   std::vector<U256> prefix(n);
   for (size_t i = 0; i < n; ++i) {
-    if (xs[i].IsZero()) DieZeroInverse(fn);
     prefix[i] = i == 0 ? xs[i] : mul(prefix[i - 1], xs[i]);
   }
-  U256 inv = BinInvMod(prefix[n - 1], m);
+  U256 inv = InvChecked(prefix[n - 1], m, mod, fn);
   for (size_t i = n; i-- > 1;) {
     U256 x = xs[i];  // Copy first: `out` may alias `xs`.
     out[i] = mul(inv, prefix[i - 1]);
@@ -706,31 +913,32 @@ U256 FpMul(const U256& a, const U256& b) { return FpMulInl(a, b); }
 
 U256 FpSqr(const U256& a) { return FpMulInl(a, a); }
 
-U256 FpPow(const U256& a, const U256& e) {
-  U256 result = U256::One();
-  int bits = e.BitLength();
-  for (int i = bits - 1; i >= 0; --i) {
-    result = FpSqr(result);
-    if (e.Bit(i)) result = FpMul(result, a);
-  }
-  return result;
-}
-
-U256 FpInv(const U256& a) {
-  U256 r = a >= kP ? U256::Mod(a, kP) : a;
-  if (r.IsZero()) DieZeroInverse("FpInv");
-  return BinInvMod(r, kP);
-}
+U256 FpInv(const U256& a) { return InvChecked(a, kP, kP62, "FpInv"); }
 
 void FpInvMany(const U256* xs, size_t n, U256* out) {
-  InvManyImpl(xs, n, out, kP, &FpMul, "FpInvMany");
+  InvManyImpl(xs, n, out, kP, kP62, &FpMul, "FpInvMany");
 }
 
 Result<U256> FpSqrt(const U256& a) {
   // p = 3 (mod 4): sqrt(a) = a^((p+1)/4) when a is a quadratic residue.
-  // (p+1) wraps mod 2^256, so compute (p-3)/4 + 1 == (p+1)/4 instead.
-  U256 exp = (kP - U256(3)).Shr(2) + U256(1);
-  U256 root = FpPow(a, exp);
+  // (p+1)/4 in binary is 223 ones, a zero, 22 ones, four zeros, 2 ones
+  // and two zeros; secp256k1's addition chain builds a^(2^k - 1) for
+  // k = 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223 and slides over the
+  // three blocks: 253 squarings and 13 multiplications in all.
+  U256 x2 = FpMulInl(FpSqrInl(a), a);
+  U256 x3 = FpMulInl(FpSqrInl(x2), a);
+  U256 x6 = FpMulInl(FpSqrNInl(x3, 3), x3);
+  U256 x9 = FpMulInl(FpSqrNInl(x6, 3), x3);
+  U256 x11 = FpMulInl(FpSqrNInl(x9, 2), x2);
+  U256 x22 = FpMulInl(FpSqrNInl(x11, 11), x11);
+  U256 x44 = FpMulInl(FpSqrNInl(x22, 22), x22);
+  U256 x88 = FpMulInl(FpSqrNInl(x44, 44), x44);
+  U256 x176 = FpMulInl(FpSqrNInl(x88, 88), x88);
+  U256 x220 = FpMulInl(FpSqrNInl(x176, 44), x44);
+  U256 x223 = FpMulInl(FpSqrNInl(x220, 3), x3);
+  U256 t = FpMulInl(FpSqrNInl(x223, 23), x22);
+  t = FpMulInl(FpSqrNInl(t, 6), x2);
+  U256 root = FpSqrNInl(t, 2);
   if (FpSqr(root) != U256::Mod(a, kP)) {
     return Status::Verification("no square root exists mod p");
   }
@@ -744,14 +952,10 @@ U256 FnMul(const U256& a, const U256& b) {
   return ReduceWide(U256::MulWide(a, b), kN, kCn);
 }
 
-U256 FnInv(const U256& a) {
-  U256 r = a >= kN ? U256::Mod(a, kN) : a;
-  if (r.IsZero()) DieZeroInverse("FnInv");
-  return BinInvMod(r, kN);
-}
+U256 FnInv(const U256& a) { return InvChecked(a, kN, kN62, "FnInv"); }
 
 void FnInvMany(const U256* xs, size_t n, U256* out) {
-  InvManyImpl(xs, n, out, kN, &FnMul, "FnInvMany");
+  InvManyImpl(xs, n, out, kN, kN62, &FnMul, "FnInvMany");
 }
 
 U256 FnReduce(const U256& a) {

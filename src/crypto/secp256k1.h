@@ -26,24 +26,24 @@ U256 FpAdd(const U256& a, const U256& b);
 U256 FpSub(const U256& a, const U256& b);
 U256 FpMul(const U256& a, const U256& b);
 U256 FpSqr(const U256& a);
-/// a^e mod p (square-and-multiply over the fast multiplier).
-U256 FpPow(const U256& a, const U256& e);
-/// Inverse mod p (variable-time binary extended gcd). Zero has no
-/// inverse: a zero input aborts the process (it is always a caller bug,
-/// never data-dependent — see DESIGN.md "EC fast path").
+/// Inverse mod p (variable-time Bernstein-Yang divsteps; inputs >= p are
+/// reduced first). Zero has no inverse: an input == 0 mod p aborts the
+/// process (it is always a caller bug, never data-dependent — see
+/// DESIGN.md "EC fast path").
 U256 FpInv(const U256& a);
 /// Batch inversion mod p: out[i] = xs[i]^-1 via Montgomery's
 /// simultaneous-inversion trick (one FpInv + 3 muls per element).
-/// `out` may alias `xs`. Aborts on any zero input, like FpInv.
+/// `out` may alias `xs`. Aborts on any input == 0 mod p, like FpInv.
 void FpInvMany(const U256* xs, size_t n, U256* out);
-/// Square root mod p (p = 3 mod 4). Returns error if no root exists.
+/// Square root mod p (p = 3 mod 4) via a fixed addition chain for
+/// a^((p+1)/4). Returns error if no root exists.
 Result<U256> FpSqrt(const U256& a);
 
 /// --- Scalar arithmetic mod n ---
 U256 FnAdd(const U256& a, const U256& b);
 U256 FnSub(const U256& a, const U256& b);
 U256 FnMul(const U256& a, const U256& b);
-/// Inverse mod n; aborts on zero input (see FpInv).
+/// Inverse mod n; aborts on an input == 0 mod n (see FpInv).
 U256 FnInv(const U256& a);
 /// Batch inversion mod n (see FpInvMany). `out` may alias `xs`.
 void FnInvMany(const U256* xs, size_t n, U256* out);

@@ -9,6 +9,7 @@
 // and CI also builds with -DWEDGE_DISABLE_ECPRECOMP=ON.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -104,7 +105,6 @@ TEST(EcEquivTest, DoubleScalarMulBaseMatchesReference) {
 }
 
 TEST(EcEquivTest, GlvSplitReassemblesAndIsHalfWidth) {
-  const U256& n = GroupOrder();
   const U256& lambda = internal::GlvLambda();
   for (const U256& k : SeededCorpus(2000, 0x617F)) {
     U256 k1, k2;
@@ -142,31 +142,6 @@ TEST(EcEquivTest, ScalarMulBaseManyMatchesSingles) {
   }
 }
 
-TEST(EcEquivTest, BatchInversionMatchesSingles) {
-  Rng rng(0x1412);
-  std::vector<U256> xs;
-  for (int i = 0; i < 300; ++i) {
-    U256 x = U256::Mod(U256(rng.Next(), rng.Next(), rng.Next(), rng.Next()),
-                       FieldPrime());
-    if (!x.IsZero()) xs.push_back(x);
-  }
-  std::vector<U256> inv(xs.size());
-  FpInvMany(xs.data(), xs.size(), inv.data());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(inv[i], FpInv(xs[i])) << "i = " << i;
-  }
-  // Aliasing form (out == xs) must give the same answers.
-  std::vector<U256> aliased = xs;
-  FpInvMany(aliased.data(), aliased.size(), aliased.data());
-  EXPECT_EQ(aliased, inv);
-
-  std::vector<U256> ninv(xs.size());
-  FnInvMany(xs.data(), xs.size(), ninv.data());
-  for (size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(ninv[i], FnInv(xs[i])) << "i = " << i;
-  }
-}
-
 TEST(EcEquivDeathTest, ZeroInversionAborts) {
   // FnInv/FpInv on zero is always a caller bug: the contract is a hard
   // abort, never a garbage inverse.
@@ -176,6 +151,167 @@ TEST(EcEquivDeathTest, ZeroInversionAborts) {
   U256 xs[2] = {U256(3), U256::Zero()};
   U256 out[2];
   EXPECT_DEATH(FpInvMany(xs, 2, out), "zero input");
+}
+
+/// Inversion inputs for modulus m: the named edge values, every power of
+/// two, odd values shifted up by long runs of zero bits, and seeded
+/// random values of full, half and one-word width plus one value in
+/// [m, 2^256) per draw. Values == 0 mod m are left out: they abort by
+/// contract.
+std::vector<U256> InversionCorpus(const U256& m, size_t count,
+                                  uint64_t seed) {
+  const U256& p = FieldPrime();
+  const U256& n = GroupOrder();
+  std::vector<U256> raw = {U256::One(),        U256(2),
+                           U256(3),            p - U256::One(),
+                           n - U256::One(),    m - U256(2),
+                           m.Shr(1),           m + U256::One(),
+                           m + U256(2),        U256::Max(),
+                           U256::Max() - m};
+  for (int k = 0; k < 256; ++k) raw.push_back(U256::One().Shl(k));
+  const U256 room = U256::Zero() - m;  // 2^256 - m
+  Rng rng(seed);
+  // The divsteps loop consumes a run of zero low bits of g in one shift
+  // and stops it at the 62-step budget with a sentinel bit; runs of 56
+  // to 250 zeros cross that budget at every offset.
+  for (int shift = 56; shift <= 250; ++shift) {
+    U256 odd(rng.Next() | 1, rng.Next(), rng.Next(), rng.Next());
+    raw.push_back(odd.Shl(shift));
+  }
+  for (size_t i = 0; i < count; ++i) {
+    U256 x(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+    raw.push_back(x);
+    raw.push_back(U256(rng.Next(), rng.Next(), 0, 0));
+    raw.push_back(U256(rng.Next()));
+    raw.push_back(m + U256::Mod(x, room));  // >= m: reduced first.
+  }
+  std::vector<U256> out;
+  for (const U256& x : raw) {
+    if (!U256::Mod(x, m).IsZero()) out.push_back(x);
+  }
+  return out;
+}
+
+/// Checks inv(x) for every corpus value against the definition (in
+/// [0, m) and x * inv == 1 with the independent field multiplier), and
+/// against u256's generic Fermat InvMod on the named edges and every
+/// 16th value after them. Then checks the batch form, plain and aliased.
+template <typename InvFn, typename MulFn, typename InvManyFn>
+void CheckInversion(const U256& m, InvFn inv, MulFn mul, InvManyFn inv_many,
+                    uint64_t seed) {
+  std::vector<U256> corpus = InversionCorpus(m, 600, seed);
+  std::vector<U256> want(corpus.size());
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const U256& x = corpus[i];
+    want[i] = inv(x);
+    ASSERT_LT(want[i], m) << "x = " << x.ToHex();
+    ASSERT_EQ(mul(U256::Mod(x, m), want[i]), U256::One())
+        << "x = " << x.ToHex();
+    if (i < 11 || i % 16 == 0) {
+      ASSERT_EQ(want[i], InvMod(U256::Mod(x, m), m)) << "x = " << x.ToHex();
+    }
+  }
+  std::vector<U256> batch(corpus.size());
+  inv_many(corpus.data(), corpus.size(), batch.data());
+  EXPECT_EQ(batch, want);
+  std::vector<U256> aliased = corpus;
+  inv_many(aliased.data(), aliased.size(), aliased.data());
+  EXPECT_EQ(aliased, want);
+  // Short batches from corpus[7] = m + 1, an input >= m.
+  for (size_t len : {1, 2, 3}) {
+    std::vector<U256> head(corpus.begin() + 7, corpus.begin() + 7 + len);
+    std::vector<U256> out(len);
+    inv_many(head.data(), len, out.data());
+    EXPECT_EQ(out,
+              std::vector<U256>(want.begin() + 7, want.begin() + 7 + len));
+  }
+}
+
+TEST(EcEquivTest, FpInvMatchesFermatOracle) {
+  CheckInversion(FieldPrime(), &FpInv, &FpMul, &FpInvMany, 0x1F0F);
+}
+
+TEST(EcEquivTest, FnInvMatchesFermatOracle) {
+  CheckInversion(GroupOrder(), &FnInv, &FnMul, &FnInvMany, 0x1F0E);
+}
+
+TEST(EcEquivDeathTest, BatchInversionOfModulusMultipleAborts) {
+  // Nonzero as a 256-bit value, zero mod the modulus: the product check
+  // catches it at any position in the batch.
+  U256 xs[3] = {U256(3), FieldPrime(), U256(5)};
+  U256 out[3];
+  EXPECT_DEATH(FpInvMany(xs, 3, out), "zero input");
+  U256 ns[1] = {GroupOrder()};
+  EXPECT_DEATH(FnInvMany(ns, 1, out), "zero input");
+}
+
+TEST(EcEquivTest, FpSqrtMatchesEulerCriterion) {
+  const U256& p = FieldPrime();
+  const U256 euler_exp = (p - U256::One()).Shr(1);
+  const U256 root_exp = (p - U256(3)).Shr(2) + U256::One();  // (p+1)/4
+  Rng rng(0x5A7);
+  std::vector<U256> inputs = {U256::Zero(), U256::One(), U256(2), U256(3),
+                              U256(7),      p - U256::One(), p,
+                              p + U256(4),  U256::Max()};
+  for (int i = 0; i < 400; ++i) {
+    U256 x(rng.Next(), rng.Next(), rng.Next(), rng.Next());
+    inputs.push_back(x);
+    U256 sq = FpSqr(x);
+    inputs.push_back(sq);  // A residue.
+    // -1 is a non-residue (p = 3 mod 4), so -x^2 is one too.
+    inputs.push_back(FpSub(U256::Zero(), sq));
+  }
+  int residues = 0, non_residues = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const U256& a = inputs[i];
+    U256 reduced = U256::Mod(a, p);
+    auto root = FpSqrt(a);
+    if (root.ok()) {
+      ++residues;
+      ASSERT_LT(root.value(), p);
+      ASSERT_EQ(FpSqr(root.value()), reduced) << "a = " << a.ToHex();
+    } else {
+      ++non_residues;
+      ASSERT_EQ(root.status().code(), Code::kVerification);
+    }
+    if (i < 9 || i % 16 == 0) {
+      // Euler's criterion decides; a^((p+1)/4) pins which of the two
+      // roots comes back.
+      bool is_residue = reduced.IsZero() ||
+                        PowMod(reduced, euler_exp, p) == U256::One();
+      ASSERT_EQ(root.ok(), is_residue) << "a = " << a.ToHex();
+      if (is_residue) {
+        ASSERT_EQ(root.value(), PowMod(reduced, root_exp, p));
+      }
+    }
+  }
+  EXPECT_GT(residues, 400);
+  EXPECT_GT(non_residues, 400);
+}
+
+TEST(EcEquivTest, LiftXGivesBothParities) {
+  const U256& p = FieldPrime();
+  Rng rng(0x11F7);
+  int missing = 0;
+  for (int i = 0; i < 200; ++i) {
+    AffinePoint pt = ScalarMulBase(U256(rng.Next(), rng.Next(), 0, 0));
+    auto even = LiftX(pt.x, false);
+    auto odd = LiftX(pt.x, true);
+    ASSERT_TRUE(even.ok() && odd.ok());
+    EXPECT_FALSE(even.value().y.Bit(0));
+    EXPECT_TRUE(odd.value().y.Bit(0));
+    EXPECT_TRUE(IsOnCurve(even.value()) && IsOnCurve(odd.value()));
+    EXPECT_EQ(FpAdd(even.value().y, odd.value().y), U256::Zero());
+    EXPECT_EQ(pt.y.Bit(0) ? odd.value() : even.value(), pt);
+    // An x with no point on the curve fails for both parities.
+    U256 x(rng.Next(), rng.Next(), rng.Next(), rng.Next() >> 1);
+    if (!LiftX(x, false).ok()) {
+      ++missing;
+      EXPECT_EQ(LiftX(x, true).status().code(), Code::kVerification);
+    }
+  }
+  EXPECT_GT(missing, 50);
+  EXPECT_FALSE(LiftX(p, false).ok());
 }
 
 TEST(EcEquivTest, SignManyByteIdenticalToSingles) {
@@ -218,40 +354,6 @@ TEST(EcEquivTest, SignManyMatchesAcrossBackends) {
           << "i = " << i;
     }
   }
-}
-
-TEST(EcEquivTest, VerifyManyMatchesSingles) {
-  KeyPair kp = KeyPair::FromSeed(123);
-  KeyPair other = KeyPair::FromSeed(124);
-  std::vector<Hash256> hashes;
-  std::vector<EcdsaSignature> sigs;
-  for (int i = 0; i < 64; ++i) {
-    Hash256 h{};
-    h[0] = static_cast<uint8_t>(i);
-    hashes.push_back(h);
-    sigs.push_back(EcdsaSign(kp.private_key(), h));
-  }
-  // Poison a spread of entries so the batch path proves it fails
-  // per-item, not per-batch: flipped s, swapped hash, r out of range,
-  // zero scalars.
-  sigs[3].s = FnAdd(sigs[3].s, U256::One());
-  sigs[10] = EcdsaSign(other.private_key(), hashes[10]);  // wrong key
-  sigs[17].r = GroupOrder();
-  sigs[21].r = U256::Zero();
-  sigs[40].s = U256::Zero();
-
-  std::vector<uint8_t> ok = EcdsaVerifyMany(kp.public_key(), hashes, sigs);
-  ASSERT_EQ(ok.size(), sigs.size());
-  for (size_t i = 0; i < sigs.size(); ++i) {
-    EXPECT_EQ(ok[i] != 0, EcdsaVerify(kp.public_key(), hashes[i], sigs[i]))
-        << "i = " << i;
-  }
-  EXPECT_EQ(ok[3], 0);
-  EXPECT_EQ(ok[10], 0);
-  EXPECT_EQ(ok[17], 0);
-  EXPECT_EQ(ok[21], 0);
-  EXPECT_EQ(ok[40], 0);
-  EXPECT_EQ(ok[0], 1);
 }
 
 TEST(EcEquivTest, RecoverConsistentAcrossBackends) {
@@ -406,6 +508,117 @@ TEST(EcEquivTest, VerifySignerMatchesRecoverSignerOnBothBackends) {
   }
   // And under whatever backend the environment picked.
   EXPECT_EQ(CountSignerMismatches(cases, 2), 0);
+}
+
+TEST(EcEquivTest, SignatureDecoderMutantsFailTypedOrMatchRecover) {
+  // Seeded byte-mutants of valid 65-byte signatures, truncations and
+  // extensions, and signatures with r or s at 0 or >= n. Each must fail
+  // to decode with a typed error, or else VerifySigner must agree with
+  // RecoverSigner-and-compare with the signer cache cold and warm. The
+  // range checks must keep every out-of-range scalar away from FnInv's
+  // zero-input abort, which would kill this test.
+  const U256& n = GroupOrder();
+  struct Base {
+    Address addr;
+    Hash256 hash;
+    Bytes wire;
+  };
+  std::vector<Base> bases;
+  for (uint64_t k = 0; k < 2; ++k) {
+    KeyPair kp = KeyPair::FromSeed(0x4D07 + k);
+    for (int i = 0; i < 4; ++i) {
+      Hash256 h = Sha256::Digest("mutant " + std::to_string(k * 10 + i));
+      bases.push_back({kp.address(), h, EcdsaSign(kp.private_key(), h)
+                                            .Serialize()});
+    }
+  }
+  struct Mutant {
+    const Base* base;
+    Bytes wire;
+  };
+  std::vector<Mutant> mutants;
+  Rng rng(0xB17F11B);
+  for (int i = 0; i < 500; ++i) {
+    const Base& b = bases[rng.Uniform(bases.size())];
+    Bytes wire = b.wire;
+    int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      size_t pos = rng.Uniform(wire.size());
+      switch (rng.Uniform(3)) {
+        case 0: wire[pos] ^= static_cast<uint8_t>(1u << rng.Uniform(8)); break;
+        case 1: wire[pos] = static_cast<uint8_t>(rng.Next()); break;
+        default: wire[pos] = rng.Bernoulli(0.5) ? 0x00 : 0xFF; break;
+      }
+    }
+    mutants.push_back({&b, wire});
+  }
+  for (size_t len = 0; len < 65; len += 8) {
+    mutants.push_back({&bases[0], Bytes(bases[0].wire.begin(),
+                                        bases[0].wire.begin() + len)});
+  }
+  mutants.push_back({&bases[0], Bytes(bases[0].wire.begin(),
+                                      bases[0].wire.end() - 1)});
+  for (size_t extra : {1, 2, 65}) {
+    Bytes wire = bases[1].wire;
+    Bytes tail = rng.NextBytes(extra);
+    wire.insert(wire.end(), tail.begin(), tail.end());
+    mutants.push_back({&bases[1], wire});
+  }
+  const U256 bad_scalars[] = {U256::Zero(), n, n + U256::One(), U256::Max()};
+  size_t range_first = mutants.size();
+  for (const Base& b : bases) {
+    EcdsaSignature sig = EcdsaSignature::Deserialize(b.wire).value();
+    for (const U256& bad : bad_scalars) {
+      EcdsaSignature m = sig;
+      m.r = bad;
+      mutants.push_back({&b, m.Serialize()});
+      m = sig;
+      m.s = bad;
+      mutants.push_back({&b, m.Serialize()});
+    }
+  }
+
+  auto check = [&](bool warm) {
+    int decoded = 0;
+    for (size_t i = 0; i < mutants.size(); ++i) {
+      const Mutant& mu = mutants[i];
+      auto sig = EcdsaSignature::Deserialize(mu.wire);
+      if (!sig.ok()) {
+        EXPECT_EQ(sig.status().code(), Code::kInvalidArgument) << "i = " << i;
+        EXPECT_TRUE(mu.wire.size() != 65 || mu.wire[64] > 3) << "i = " << i;
+        continue;
+      }
+      ++decoded;
+      if (!warm) ResetSignerCacheForTest();
+      const Address& addr = mu.base->addr;
+      bool want = RecoverSigner(mu.base->hash, sig.value()) == addr;
+      EXPECT_EQ(VerifySigner(addr, mu.base->hash, sig.value()), want)
+          << (warm ? "warm" : "cold") << " i = " << i;
+      if (i >= range_first) {
+        EXPECT_FALSE(want) << "i = " << i;
+      }
+    }
+    return decoded;
+  };
+  int cold_decoded = check(/*warm=*/false);
+  ResetSignerCacheForTest();
+  for (const Base& b : bases) {
+    for (int i = 0; i < kSignerPromoteAfter; ++i) {
+      ASSERT_TRUE(VerifySigner(
+          b.addr, b.hash, EcdsaSignature::Deserialize(b.wire).value()));
+    }
+  }
+  const SignerCacheStats before = GetSignerCacheStats();
+  int warm_decoded = check(/*warm=*/true);
+  EXPECT_EQ(cold_decoded, warm_decoded);
+  EXPECT_GT(warm_decoded, 200);
+  if (ActiveEcBackend() == EcBackend::kFast) {
+    // Every warm check was answered from the cached tables.
+    SignerCacheStats after = GetSignerCacheStats();
+    EXPECT_EQ(after.size, 2u);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits - before.hits, static_cast<uint64_t>(warm_decoded));
+  }
 }
 
 TEST(EcEquivTest, SignerCacheMissPromoteHitEvict) {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Hot-path performance smoke test: builds the Release microbenchmarks,
 # runs the sealing hot path (SHA-256 singles + batch, Merkle build,
-# ECDSA sign/verify/recover/known-signer singles + batch, full-batch
-# seal) with the dispatched backends AND with every acceleration forced
-# off (WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1), and writes
+# ECDSA sign/verify/recover/known-signer singles + batch signing,
+# field multiply/invert/square root, full-batch seal) with the
+# dispatched backends AND with every acceleration forced off
+# (WEDGE_DISABLE_HWCRYPTO=1 WEDGE_DISABLE_ECPRECOMP=1), and writes
 # BENCH_hotpath.json with before/after rows against the recorded seed
 # baselines.
 #
@@ -15,6 +16,8 @@
 #   - BM_EcdsaVerify >= 3.0x over seed with the dispatched backend
 #   - BM_EcdsaVerifySigner (cached key) >= 2.0x faster than
 #     BM_EcdsaRecover measured in the same dispatched run
+#   - BM_FpInv (one field inversion) <= 120x BM_FpMul (one field
+#     multiplication) measured in the same dispatched run
 #
 # Also runs the sharded-engine scaling bench (bench/shard_scaling), which
 # writes BENCH_shard.json and enforces its own criteria: exactly one
@@ -39,7 +42,7 @@ echo "==> [perf] building microbench + shard_scaling + obs_overhead + storage_sw
 cmake --build "$build_dir" -j "$(nproc)" \
   --target microbench shard_scaling obs_overhead storage_sweep >/dev/null
 
-filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaVerifySigner$|BM_EcdsaSignMany/2000|BM_EcdsaVerifyMany/256'
+filter='BM_Sha256/1088|BM_Sha256Many/2000|BM_MerkleBuild/2000|BM_MerkleBuildParallel/2000|BM_SealBatch/2000|BM_EcdsaSign$|BM_EcdsaVerify$|BM_EcdsaRecover$|BM_EcdsaVerifySigner$|BM_EcdsaSignMany/2000|BM_FpMul$|BM_FpInv$|BM_FnInv$|BM_FpSqrt$'
 tmp_dispatched="$(mktemp)"
 tmp_scalar="$(mktemp)"
 trap 'rm -f "$tmp_dispatched" "$tmp_scalar"' EXIT
@@ -140,6 +143,23 @@ for name, base, minimum in RELATIVE:
     report[f"{name}_over_{base}"] = round(speedup, 2)
     if speedup < minimum:
         failures.append(f"{name} vs {base}: {speedup:.2f}x < {minimum:.1f}x")
+
+# Field inversion against field multiplication, both from this run.
+CEILINGS = [
+    # (benchmark, baseline benchmark, maximum cost in baseline units)
+    ("BM_FpInv", "BM_FpMul", 120.0),
+]
+for name, base, maximum in CEILINGS:
+    if name not in dispatched or base not in dispatched:
+        failures.append(f"{name} vs {base}: benchmark missing from output")
+        continue
+    ratio = dispatched[name] / dispatched[base]
+    status = "ok" if ratio <= maximum else "REGRESSED"
+    print(f"    {name} [dispatched]: {ratio:.1f}x {base} "
+          f"(maximum {maximum:.0f}x) -> {status}")
+    report[f"{name}_over_{base}"] = round(ratio, 1)
+    if ratio > maximum:
+        failures.append(f"{name} vs {base}: {ratio:.1f}x > {maximum:.0f}x")
 
 report["criteria_passed"] = not failures
 with open(sys.argv[3], "w") as f:
